@@ -256,7 +256,9 @@ def apply_policy(frame, faces, policy, method):
     be omitted (score defaults to 0, tie to False).  Overlapping regions
     are applied in descending score order so the result is deterministic.
     The log lists one dict per redacted face with the original index, the
-    expanded box and the reason ("label" or "tie").
+    expanded box and the reason ("label" or "tie").  Logged boxes are the
+    exact floats that were redacted, so ``descramble_regions`` with them
+    restores the frame bit for bit.
     """
     frame = np.asarray(frame)
     selected = []
@@ -276,7 +278,7 @@ def apply_policy(frame, faces, policy, method):
     selected.sort(key=lambda s: (s[0], s[1]))
     out = denature_regions(frame, [s[2] for s in selected], method)
     log = [
-        {"index": i, "box": [round(v, 3) for v in grown], "label": label, "reason": reason}
+        {"index": i, "box": list(grown), "label": label, "reason": reason}
         for _, i, grown, label, reason in selected
     ]
     return out, log

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateInputError
-from .image import bilinear_resize, crop_resize, normalize_pixels
+from .errors import ConfigError, DegenerateInputError, InvariantError
+from .image import bilinear_resize, box_in_image, crop_resize_batch, normalize_pixels
 from .models import detector_nets
 
 CELL = 12  # proposal-net receptive field
@@ -214,6 +214,7 @@ def pnet_scan(level, weights, threshold, net=None):
     scale, img = level
     net = net or detector_nets()["pnet"]
     heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32)))
+    _require_finite(net.name, heads)
     return scan_proposals(heads["prob"], heads["box"], scale, threshold)
 
 
@@ -238,12 +239,28 @@ def _stage1(img, net, weights, cfg):
     return boxes, scores[keep]
 
 
-def _forward_crops(img, boxes, net, weights, size):
-    outs = []
-    for box in boxes:
-        chip = normalize_pixels(crop_resize(img, box, size))
-        outs.append(net.forward(weights, chip))
-    return outs
+def _require_finite(net_name, heads):
+    # fail closed: a NaN or infinite head scores below every threshold, so
+    # the frame would pass on with its faces unredacted
+    for head, y in heads.items():
+        if not np.isfinite(y).all():
+            raise InvariantError(f"{net_name}: non-finite {head!r} output; check the weights")
+
+
+def _forward_blocks(net, weights, img, boxes, size):
+    """Crop and run a fixed-size net over boxes, ``net.batch_block`` at a time.
+
+    Each block is cut in one gather and run in one forward, which keeps
+    the crops, like the im2col buffers, bounded by the block size.
+    Returns each head with one row per box.
+    """
+    parts = []
+    for start in range(0, boxes.shape[0], net.batch_block):
+        crops = crop_resize_batch(img, boxes[start : start + net.batch_block], size)
+        heads = net.forward(weights, normalize_pixels(crops).transpose(1, 0, 2, 3))
+        _require_finite(net.name, heads)
+        parts.append(heads)
+    return {head: np.concatenate([p[head] for p in parts]) for head in parts[0]}
 
 
 _STAGE_SIZES = {"rnet": 24, "onet": 48}
@@ -252,35 +269,31 @@ _STAGE_SIZES = {"rnet": 24, "onet": 48}
 def refinement_stage(stage, img, boxes, weights, threshold, net=None):
     """Rescore candidate boxes with the 24x24 or 48x48 refinement net.
 
-    Crops each candidate, keeps those whose face score reaches the
-    threshold and returns (boxes, scores, offsets, landmarks) where the
-    boxes are the surviving candidates (not yet refined).  Landmarks are
-    decoded to frame coordinates for the "onet" stage and None otherwise.
+    Crops and scores the candidates in memory-bounded blocks, keeps those
+    whose face score reaches the threshold and returns (boxes, scores,
+    offsets, landmarks) where the boxes are the surviving candidates (not
+    yet refined).  Landmarks are decoded to frame coordinates for the
+    "onet" stage and None otherwise.  A non-finite net output raises
+    InvariantError.
     """
     if stage not in _STAGE_SIZES:
         raise ConfigError(f"unknown refinement stage {stage!r}")
     net = net or detector_nets()[stage]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
-    if boxes.shape[0] > 0:
-        # boxes regressed fully off the frame hold no pixels; drop them
-        # (rounding matches crop_resize: half away from zero)
-        _, h, w = np.asarray(img).shape
-        r = np.floor(boxes + 0.5)
-        inside = (r[:, 2] > 0) & (r[:, 3] > 0) & (r[:, 0] < w) & (r[:, 1] < h)
-        inside &= (r[:, 2] - r[:, 0] >= 1) & (r[:, 3] - r[:, 1] >= 1)
-        boxes = boxes[inside]
+    # boxes regressed fully off the frame hold no pixels; drop them
+    _, h, w = np.asarray(img).shape
+    boxes = boxes[box_in_image(boxes, h, w)]
     if boxes.shape[0] == 0:
         pts = np.zeros((0, 5, 2)) if stage == "onet" else None
         return np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)), pts
-    heads = _forward_crops(img, boxes, net, weights, _STAGE_SIZES[stage])
-    scores = np.array([o["prob"][1] for o in heads], dtype=np.float64)
-    offsets = np.array([o["box"] for o in heads], dtype=np.float64).reshape(-1, 4)
+    heads = _forward_blocks(net, weights, img, boxes, _STAGE_SIZES[stage])
+    scores = heads["prob"][:, 1].astype(np.float64)
+    offsets = heads["box"].astype(np.float64)
     ok = scores >= threshold
     boxes, scores, offsets = boxes[ok], scores[ok], offsets[ok]
     pts = None
     if stage == "onet":
-        raw = np.array([o["landmarks"] for o in heads], dtype=np.float64).reshape(-1, 10)
-        pts = _decode_landmarks(raw[ok], boxes)
+        pts = _decode_landmarks(heads["landmarks"][ok], boxes)
     return boxes, scores, offsets, pts
 
 
@@ -344,7 +357,8 @@ def detect_faces(img, weights, config=None, nets=None):
     """Run the full cascade on a (3, H, W) float image with 0..255 values.
 
     Returns a list of Detection sorted by descending score; each carries
-    five landmark points.  An empty list means no stage kept a candidate.
+    five landmark points.  An empty list means no stage kept a candidate;
+    a stage net that outputs NaN or infinity raises InvariantError instead.
     """
     cfg = config or DetectorConfig()
     nets = nets or detector_nets()

@@ -66,6 +66,6 @@ def embed_chip(chip, weights, net=None):
         net = embedding_net(pixels.shape[1])
     emb = net.forward(weights, pixels)["embedding"].astype(np.float32)
     norm = float(np.linalg.norm(emb.astype(np.float64)))
-    if abs(norm - 1.0) > NORM_TOL:
+    if not abs(norm - 1.0) <= NORM_TOL:  # also catches a NaN norm
         raise InvariantError(f"embedding norm {norm} drifted from 1")
     return emb

@@ -27,6 +27,10 @@ class Layer:
     def out_shape(self, in_shape):
         raise NotImplementedError
 
+    def im2col_size(self, in_shape):
+        """Elements of the im2col buffer one sample needs in a batched forward."""
+        return 0
+
     def forward(self, x, params):
         raise NotImplementedError
 
@@ -70,6 +74,10 @@ class Conv2D(Layer):
         if h < 1 or w < 1:
             raise ConfigError(f"{self.name}: kernel {self.kernel} does not fit input {in_shape}")
         return (self.out_channels, h, w)
+
+    def im2col_size(self, in_shape):
+        _, h, w = self.out_shape(in_shape)
+        return self.in_channels * self.kernel * self.kernel * h * w
 
     def forward(self, x, params):
         return ops.conv2d(

@@ -4,6 +4,13 @@ Forward is a pure function of (weights, input). Backward recomputes the
 forward with a private activation cache, so concurrent callers never share
 state. Fully-convolutional networks accept any spatial size at or above the
 declared input shape; all other networks require an exact match.
+
+Fixed-size networks also take an (N, C, H, W) batch in ``forward``. The
+layers then run in the kernels' batch layout, (C, N, H, W) maps and (F, N)
+vectors, so every convolution is one im2col GEMM; each head comes back
+with the batch axis first. ``batch_block`` is the batch size whose largest
+im2col buffer fits IM2COL_BYTES; callers split longer batches into blocks
+of that size. Training (``forward_train``/``backward``) takes one sample.
 """
 
 from __future__ import annotations
@@ -11,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+
+IM2COL_BYTES = 2 << 20  # float32 im2col buffer of one batched conv, about an L2 cache
 
 
 class Network:
@@ -27,6 +36,7 @@ class Network:
                     raise ConfigError(f"{name}: duplicate parameter name {pname}")
                 seen.add(pname)
         self.infer_shapes()
+        self.batch_block = self._batch_block()
 
     def _all_layers(self):
         yield from self.trunk
@@ -45,6 +55,19 @@ class Network:
                 hshape = layer.out_shape(hshape)
             out[head] = hshape
         return out
+
+    def _batch_block(self):
+        """Samples per batched forward: the widest conv's im2col fits IM2COL_BYTES."""
+        shape, widest = self.input_shape, 1
+        for layer in self.trunk:
+            widest = max(widest, layer.im2col_size(shape))
+            shape = layer.out_shape(shape)
+        for layers in self.heads.values():
+            hshape = shape
+            for layer in layers:
+                widest = max(widest, layer.im2col_size(hshape))
+                hshape = layer.out_shape(hshape)
+        return max(1, IM2COL_BYTES // (widest * np.dtype(np.float32).itemsize))
 
     def param_shapes(self):
         shapes = {}
@@ -69,8 +92,12 @@ class Network:
             params.update(layer.init_params(rng))
         return params
 
-    def _check_input(self, x):
+    def _check_input(self, x, batched=False):
         c, h, w = self.input_shape
+        if batched:
+            if self.fully_convolutional or x.shape[1:] != (c, h, w):
+                raise ConfigError(f"{self.name}: expected an (N,{c},{h},{w}) batch, got {x.shape}")
+            return
         if x.ndim != 3 or x.shape[0] != c:
             raise ConfigError(f"{self.name}: expected ({c},H,W) input, got {x.shape}")
         if self.fully_convolutional:
@@ -80,8 +107,15 @@ class Network:
             raise ConfigError(f"{self.name}: input {x.shape} does not match ({c},{h},{w})")
 
     def forward(self, weights, x):
-        """Run all heads; returns {head name: array}."""
-        self._check_input(x)
+        """Run all heads; returns {head name: array}.
+
+        x is one (C,H,W) sample or, for a fixed-size net, an (N,C,H,W)
+        batch whose heads come back as (N, ...) arrays.
+        """
+        batched = x.ndim == 4
+        self._check_input(x, batched)
+        if batched:
+            x = x.transpose(1, 0, 2, 3)
         for layer in self.trunk:
             x = layer.forward(x, weights)
         out = {}
@@ -89,7 +123,7 @@ class Network:
             y = x
             for layer in layers:
                 y = layer.forward(y, weights)
-            out[head] = y
+            out[head] = np.moveaxis(y, 1, 0) if batched else y
         return out
 
     def forward_train(self, weights, x):

@@ -4,6 +4,15 @@ Spatial tensors are channel-first (C, H, W), row-major. Kernels keep the
 dtype of their inputs: inference runs in float32, while finite-difference
 checking upcasts to float64 and exercises the same code path. There is no
 broadcasting; shapes must match exactly.
+
+A batch of N samples adds one axis right after the channels: conv maps
+are (C, N, H, W) and feature vectors are (F, N). With that layout a
+convolution is one im2col GEMM, W (C_out, C_in*kh*kw) @ cols
+(C_in*kh*kw, N*oh*ow), whose result is already (C_out, N, oh, ow), and
+PReLU (leading-channel slopes), softmax(axis=0) and max pooling (last two
+axes) need no change. Single samples keep the per-tap arithmetic, which
+training and the gradient checks rely on; the backward kernels take
+single samples only.
 """
 
 from __future__ import annotations
@@ -14,14 +23,15 @@ from ..errors import ConfigError, DegenerateInputError
 
 
 def conv2d(x, weight, bias, stride=1, padding=0, layer="conv2d"):
-    """Cross-correlate x (C_in,H,W) with weight (C_out,C_in,kh,kw), add bias.
+    """Cross-correlate x with weight (C_out,C_in,kh,kw), add bias.
 
-    Zero padding at the borders; each output axis has size
-    floor((n + 2*padding - k) / stride) + 1.
+    x is one (C_in,H,W) sample or a (C_in,N,H,W) batch; the output keeps
+    the input's layout. Zero padding at the borders; each output axis has
+    size floor((n + 2*padding - k) / stride) + 1.
     """
-    if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
+    if x.ndim not in (3, 4) or weight.ndim != 4 or bias.ndim != 1:
         raise ConfigError(
-            f"{layer}: expected rank-3 input, rank-4 weight, rank-1 bias, got "
+            f"{layer}: expected rank-3 or rank-4 input, rank-4 weight, rank-1 bias, got "
             f"{x.ndim}/{weight.ndim}/{bias.ndim}"
         )
     cout, cin, kh, kw = weight.shape
@@ -32,18 +42,34 @@ def conv2d(x, weight, bias, stride=1, padding=0, layer="conv2d"):
     if stride < 1 or padding < 0:
         raise ConfigError(f"{layer}: stride must be >= 1 and padding >= 0")
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    _, h, w = x.shape
+        x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((padding, padding),) * 2)
+    h, w = x.shape[-2:]
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"{layer}: kernel {kh}x{kw} does not fit padded input {h}x{w}")
+    if x.ndim == 4:
+        return _conv2d_gemm(x, weight, bias, stride, oh, ow)
     out = np.zeros((cout, oh, ow), dtype=np.result_type(x, weight))
     for i in range(kh):
         for j in range(kw):
             patch = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
             out += np.tensordot(weight[:, :, i, j], patch, axes=(1, 0))
     out += bias[:, None, None]
+    return out
+
+
+def _conv2d_gemm(x, weight, bias, stride, oh, ow):
+    """im2col of a padded (C_in,N,H,W) batch, then one GEMM -> (C_out,N,oh,ow)."""
+    cout, cin, kh, kw = weight.shape
+    n = x.shape[1]
+    cols = np.empty((cin, kh, kw, n, oh, ow), dtype=np.result_type(x, weight))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    out = weight.reshape(cout, -1) @ cols.reshape(cin * kh * kw, n * oh * ow)
+    out = out.reshape(cout, n, oh, ow)
+    out += bias[:, None, None, None]
     return out
 
 
@@ -73,20 +99,24 @@ def pool_output_size(n, kernel, stride):
 
 
 def maxpool2d(x, kernel, stride, layer="maxpool2d"):
-    """Max over kernel x kernel windows at the given stride, ceil mode."""
-    if x.ndim != 3:
-        raise ConfigError(f"{layer}: expected rank-3 input, got {x.ndim}")
+    """Max over kernel x kernel windows of the last two axes, ceil mode.
+
+    x is one (C,H,W) sample or a (C,N,H,W) batch.
+    """
+    if x.ndim not in (3, 4):
+        raise ConfigError(f"{layer}: expected rank-3 or rank-4 input, got {x.ndim}")
     if kernel < 1 or stride < 1:
         raise ConfigError(f"{layer}: kernel and stride must be >= 1")
-    c, h, w = x.shape
+    lead, (h, w) = x.shape[:-2], x.shape[-2:]
     oh = pool_output_size(h, kernel, stride)
     ow = pool_output_size(w, kernel, stride)
-    xp = np.full((c, (oh - 1) * stride + kernel, (ow - 1) * stride + kernel), -np.inf, dtype=x.dtype)
-    xp[:, :h, :w] = x
-    out = np.full((c, oh, ow), -np.inf, dtype=x.dtype)
+    xp = np.full(lead + ((oh - 1) * stride + kernel, (ow - 1) * stride + kernel), -np.inf,
+                 dtype=x.dtype)
+    xp[..., :h, :w] = x
+    out = np.full(lead + (oh, ow), -np.inf, dtype=x.dtype)
     for i in range(kernel):
         for j in range(kernel):
-            np.maximum(out, xp[:, i::stride, j::stride][:, :oh, :ow], out=out)
+            np.maximum(out, xp[..., i::stride, j::stride][..., :oh, :ow], out=out)
     return out
 
 
@@ -150,9 +180,12 @@ def softmax_backward(y, dy, axis=0):
 
 
 def l2_normalize(x):
-    """Scale x to unit Euclidean norm (over all elements)."""
-    n = np.linalg.norm(x.ravel())
-    if n == 0.0:
+    """Scale x to unit Euclidean norm (over all elements).
+
+    An (F, N) batch of feature vectors is scaled column by column.
+    """
+    n = np.linalg.norm(x, axis=0) if x.ndim == 2 else np.linalg.norm(x.ravel())
+    if not np.all(n):
         raise DegenerateInputError("cannot l2-normalize an all-zero tensor")
     return x / n
 
@@ -166,15 +199,20 @@ def l2_normalize_backward(x, dy):
 
 
 def fully_connected(x, weight, bias, layer="fc"):
-    """weight @ flatten(x) + bias; weight is (out_features, in_features)."""
-    xf = x.reshape(-1)
+    """weight @ flatten(x) + bias; weight is (out_features, in_features).
+
+    A batch, (C,N,H,W) maps or (F,N) vectors, flattens each sample in its
+    (C,H,W) order and returns (out_features, N).
+    """
+    batched = x.ndim in (2, 4)
+    xf = np.moveaxis(x, 1, -1).reshape(-1, x.shape[1]) if batched else x.reshape(-1)
     if weight.ndim != 2 or weight.shape[1] != xf.shape[0]:
         raise ConfigError(
             f"{layer}: weight {weight.shape} incompatible with flattened input {xf.shape[0]}"
         )
     if bias.shape != (weight.shape[0],):
         raise ConfigError(f"{layer}: bias {bias.shape} incompatible with weight {weight.shape}")
-    return weight @ xf + bias
+    return weight @ xf + (bias[:, None] if batched else bias)
 
 
 def fully_connected_backward(x, weight, dy):

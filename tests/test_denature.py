@@ -346,6 +346,20 @@ class TestApplyPolicy:
         assert log[0]["box"] == [5.0, 5.0, 35.0, 35.0]
         assert not np.array_equal(out[5:10, 5:35], frame[5:10, 5:35])
 
+    @pytest.mark.parametrize("eps", [0.0003, -0.0003])
+    def test_logged_boxes_descramble_bit_exact(self, eps):
+        # edges a hair off the pixel grid: rounding the logged box to 3
+        # decimals would move floor/ceil by a whole pixel
+        rng = np.random.default_rng(21)
+        frame = rand_frame(rng, 40, 40)
+        box = (6 + eps, 7 - eps, 27 + eps, 30 - eps)
+        policy = RedactionPolicy(box_expansion=0.0)
+        out, log = apply_policy(frame, [(box, "child", 0.9)], policy, Scramble(b"exact"))
+        assert log[0]["box"] == list(box)
+        np.testing.assert_array_equal(out, denature_regions(frame, [box], Scramble(b"exact")))
+        logged = [e["box"] for e in log]
+        np.testing.assert_array_equal(descramble_regions(out, logged, b"exact"), frame)
+
     def test_descending_score_application_order(self):
         rng = np.random.default_rng(19)
         frame = rand_frame(rng, 30, 30)

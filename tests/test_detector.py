@@ -19,8 +19,8 @@ from faceveil.detect import (
     refinement_stage,
     scan_proposals,
 )
-from faceveil.errors import ConfigError, DegenerateInputError
-from faceveil.image import bilinear_resize, crop_resize
+from faceveil.errors import ConfigError, DegenerateInputError, InvariantError
+from faceveil.image import bilinear_resize, crop_resize, crop_resize_batch, normalize_pixels
 from faceveil.models import detector_nets
 from faceveil.synth import box_iou, make_portrait
 
@@ -279,6 +279,29 @@ class TestCropGeometry:
         with pytest.raises(DegenerateInputError):
             crop_resize(img, (-8, 0, -4, 4), 4)
 
+    @pytest.mark.parametrize("size", [24, 48, 5])
+    def test_batch_gather_bit_identical_to_crop_resize(self, size):
+        img = np.random.default_rng(7).uniform(0, 255, size=(3, 30, 40)).astype(np.float32)
+        boxes = [
+            (-6.4, 5.0, 10.6, 21.0),  # crosses the left border
+            (30.5, 8.2, 47.1, 24.9),  # right
+            (12.0, -9.5, 26.0, 4.5),  # top
+            (14.3, 22.7, 29.6, 37.4),  # bottom
+            (-5.0, -5.0, 45.0, 35.0),  # all four
+            (-20.0, 26.0, 1.0, 47.0),  # one corner pixel inside
+            (3.5, 4.5, 19.5, 12.5),  # inside, half-pixel edges, not square
+            (39.0, 29.0, 40.0, 30.0),  # the last pixel alone
+        ]
+        got = crop_resize_batch(img, boxes, size)
+        assert got.shape == (3, len(boxes), size, size) and got.dtype == np.float32
+        for n, box in enumerate(boxes):
+            np.testing.assert_array_equal(got[:, n], crop_resize(img, box, size))
+
+    def test_batch_gather_rejects_outside_box(self):
+        img = np.zeros((3, 4, 4), dtype=np.float32)
+        with pytest.raises(DegenerateInputError):
+            crop_resize_batch(img, [(0, 0, 4, 4), (10, 10, 14, 14)], 4)
+
 
 @pytest.fixture(scope="module")
 def rnet_weights():
@@ -339,6 +362,33 @@ class TestRefinementStage:
         )
         assert pts.shape == (len(boxes), 5, 2)
 
+    @pytest.mark.parametrize("stage,n", [("rnet", 0), ("rnet", 1), ("rnet", 60),
+                                         ("onet", 0), ("onet", 1), ("onet", 11)])
+    def test_batched_matches_per_crop_forwards(self, toy_weights, stage, n):
+        nets = detector_nets()
+        size = {"rnet": 24, "onet": 48}[stage]
+        rng = np.random.default_rng(8)
+        img, _, _ = make_portrait(rng, "child", 80)
+        corner = rng.uniform(-10, 70, size=(n, 2))
+        side = rng.uniform(8, 40, size=(n, 1))
+        cands = np.concatenate([corner, corner + side], axis=1)
+        if n > 1:
+            assert n > nets[stage].batch_block  # spans more than one block
+        boxes, scores, offsets, pts = refinement_stage(
+            stage, img, cands, toy_weights, 0.0, net=nets[stage]
+        )
+        np.testing.assert_array_equal(boxes, cands)
+        assert scores.shape == (n,) and offsets.shape == (n, 4)
+        for i, box in enumerate(cands):
+            chip = normalize_pixels(crop_resize(img, box, size))
+            heads = nets[stage].forward(toy_weights, chip)
+            assert abs(scores[i] - heads["prob"][1]) <= 1e-5
+            np.testing.assert_allclose(offsets[i], heads["box"], rtol=0, atol=1e-4)
+            if stage == "onet":
+                want = _decode_landmarks(heads["landmarks"][None], box[None])[0]
+                side_len = box[2] - box[0]
+                np.testing.assert_allclose(pts[i], want, rtol=0, atol=1e-4 * side_len)
+
     def test_landmark_decode_example(self):
         pts = _decode_landmarks(np.full((1, 10), 0.5), np.array([[10.0, 10.0, 30.0, 30.0]]))
         np.testing.assert_allclose(pts[0], np.full((5, 2), 20.0))
@@ -396,3 +446,14 @@ class TestDetectFaces:
         assert len(a) == len(b)
         for da, db in zip(a, b):
             assert da == db
+
+    @pytest.mark.parametrize("tensor", ["pnet.conv1.w", "rnet.fc1.w"])
+    def test_non_finite_weights_fail_closed(self, toy_weights, tensor):
+        rng = np.random.default_rng(31)
+        img, _, _ = make_portrait(rng, "adult", 64)
+        assert detect_faces(img, toy_weights)
+        weights = dict(toy_weights)
+        weights[tensor] = toy_weights[tensor].copy()
+        weights[tensor].flat[0] = np.nan
+        with pytest.raises(InvariantError):
+            detect_faces(img, weights)

@@ -110,6 +110,13 @@ class TestEmbedChip:
         with pytest.raises(DegenerateInputError):
             embed_chip(chip, dead, net=net)
 
+    def test_nan_chip_fails_closed(self, small_net):
+        net, weights = small_net
+        pixels = np.zeros((3, 32, 32), dtype=np.float32)
+        pixels[0, 5, 5] = np.nan
+        with pytest.raises(InvariantError):
+            embed_chip(FaceChip(pixels, (0, 0, 32, 32)), weights, net=net)
+
     def test_distance_identity_on_unit_vectors(self, small_net):
         # squared distance between unit vectors is 2 - 2 dot
         net, weights = small_net

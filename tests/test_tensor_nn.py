@@ -26,6 +26,7 @@ from faceveil.nn import (
     load_weights,
     save_weights,
 )
+from faceveil.nn.network import IM2COL_BYTES
 from faceveil.nn.ops import (
     conv2d,
     fully_connected,
@@ -64,11 +65,17 @@ class TestConv2d:
         x = rng.normal(size=(2, 6, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
+        batch = rng.normal(size=(2, 4, 6, 5))  # (C, N, H, W): four samples
         for stride, padding in [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2)]:
             got = conv2d(x, w, b, stride=stride, padding=padding)
             want = oracles.conv2d_direct(x, w, b, stride, padding)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, atol=1e-5)
+            got = conv2d(batch, w, b, stride=stride, padding=padding)
+            for n in range(batch.shape[1]):
+                want = oracles.conv2d_direct(batch[:, n], w, b, stride, padding)
+                assert got[:, n].shape == want.shape
+                np.testing.assert_allclose(got[:, n], want, atol=1e-5)
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -102,6 +109,10 @@ class TestMaxPool:
         want = oracles.maxpool_direct(x, 3, 2)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
+        batch = rng.normal(size=(4, 3, 13, 12))  # (C, N, H, W)
+        got = maxpool2d(batch, 3, 2)
+        for n in range(batch.shape[1]):
+            np.testing.assert_array_equal(got[:, n], oracles.maxpool_direct(batch[:, n], 3, 2))
 
 
 class TestActivations:
@@ -169,6 +180,23 @@ class TestFullyConnected:
         out = fully_connected(x, w, np.zeros(12))
         np.testing.assert_allclose(out, x.reshape(-1))
 
+    def test_batch_flattens_each_sample(self):
+        rng = np.random.default_rng(9)
+        maps = rng.normal(size=(3, 4, 2, 2))  # (C, N, H, W)
+        w = rng.normal(size=(5, 12))
+        b = rng.normal(size=5)
+        out = fully_connected(maps, w, b)
+        assert out.shape == (5, 4)
+        for n in range(4):
+            np.testing.assert_allclose(out[:, n], fully_connected(maps[:, n], w, b))
+        np.testing.assert_allclose(fully_connected(out, np.eye(5), np.zeros(5)), out)
+
+    def test_l2_normalize_batch_per_column(self):
+        x = np.array([[3.0, 0.0], [4.0, 2.0]])
+        np.testing.assert_allclose(l2_normalize(x), [[0.6, 0.0], [0.8, 1.0]])
+        with pytest.raises(DegenerateInputError):
+            l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
 
 class TestNetwork:
     def test_pnet_head_shapes_single_window(self):
@@ -216,6 +244,33 @@ class TestNetwork:
         weights = nets["rnet"].init_weights(np.random.default_rng(0))
         with pytest.raises(ConfigError):
             nets["rnet"].forward(weights, np.zeros((3, 48, 48)))
+
+    @pytest.mark.parametrize("net", [detector_nets()["rnet"], detector_nets()["onet"],
+                                     embedding_net(32)], ids=lambda n: n.name)
+    def test_batch_matches_single_samples(self, net):
+        weights = net.init_weights(np.random.default_rng(10))
+        x = np.random.default_rng(11).uniform(-1, 1, size=(3,) + net.input_shape)
+        batched = net.forward(weights, x.astype(np.float32))
+        for head, y in batched.items():
+            for n in range(3):
+                single = net.forward(weights, x[n].astype(np.float32))[head]
+                assert y[n].shape == single.shape
+                np.testing.assert_allclose(y[n], single, atol=1e-5)
+
+    def test_batch_input_validated(self):
+        nets = detector_nets()
+        weights = nets["rnet"].init_weights(np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            nets["rnet"].forward(weights, np.zeros((2, 3, 48, 48)))
+        with pytest.raises(ConfigError):  # a fully convolutional net takes one image
+            nets["pnet"].forward(nets["pnet"].init_weights(np.random.default_rng(0)),
+                                 np.zeros((2, 3, 12, 12)))
+
+    def test_batch_block_fits_im2col_budget(self):
+        nets = detector_nets()
+        # widest im2col per sample: rnet conv2 28*3*3 x 9*9, onet conv2 32*3*3 x 21*21
+        assert nets["rnet"].batch_block == IM2COL_BYTES // (4 * 28 * 9 * 81)
+        assert nets["onet"].batch_block == IM2COL_BYTES // (4 * 32 * 9 * 441)
 
     def test_missing_weight_detected(self):
         net = proposal_net()
