@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .denature import RedactionPolicy, parse_method
-from .detect import DetectorConfig
+from .detect import DetectorConfig, detect_faces
 from .embed import align_crop
 from .errors import ConfigError, DataError, FaceveilError, InvariantError, TrainingDiverged
 from .image import to_planar
 from .imgio import iter_frames, load_image, save_ppm
+from .models import detector_nets
 from .nn import WeightStore, load_weights
 from .pipeline import (
     Pipeline,
     PipelineConfig,
     bench,
+    detection_entry,
     evaluate_reports,
     report_line,
 )
@@ -55,6 +58,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def numbers(text):
+    """Comma-separated command line numbers -> list of floats."""
+    return [float(v) for v in text.split(",")]
+
+
 def build_parser():
     parser = _Parser(prog="faceveil", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,10 +76,12 @@ def build_parser():
             help="weight file; repeat to merge several (names must not collide)",
         )
 
+    # pipeline settings default to None so that pipeline_config_from leaves
+    # them to the config dataclasses
     def add_detector(p):
-        p.add_argument("--min-face", type=int, default=20)
-        p.add_argument("--scale-factor", type=float, default=0.709)
-        p.add_argument("--thresholds", default="0.6,0.7,0.7", metavar="A,B,C",
+        p.add_argument("--min-face", type=int)
+        p.add_argument("--scale-factor", type=float)
+        p.add_argument("--thresholds", type=numbers, metavar="A,B,C",
                        help="per-stage face score cuts")
 
     p = sub.add_parser("detect", help="write face boxes for a frame stream")
@@ -86,13 +96,12 @@ def build_parser():
     p.add_argument("--out-dir", required=True, metavar="DIR", help="processed frames land here")
     p.add_argument("--report", metavar="FILE", help="report stream (default OUT_DIR/report.jsonl)")
     p.add_argument("--gallery", metavar="FILE", help="reference gallery file")
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--chip-size", type=int, default=160)
-    p.add_argument("--method", default="pixelate",
-                   help="pixelate[:block] | blur[:sigma] | scramble:HEX")
-    p.add_argument("--protect", choices=sorted(PROTECT_CHOICES), default="child")
-    p.add_argument("--box-expansion", type=float, default=0.1)
-    p.add_argument("--no-redact-ties", action="store_true")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--chip-size", type=int)
+    p.add_argument("--method", help="pixelate[:block] | blur[:sigma] | scramble:HEX")
+    p.add_argument("--protect", choices=sorted(PROTECT_CHOICES))
+    p.add_argument("--box-expansion", type=float)
+    p.add_argument("--no-redact-ties", dest="redact_on_tie", action="store_false", default=None)
     p.add_argument("--no-timing", action="store_true",
                    help="omit timing for byte-identical reports")
     add_detector(p)
@@ -102,7 +111,7 @@ def build_parser():
     p.add_argument("--input", required=True, metavar="DIR", help="directory of chip images")
     p.add_argument("--labels", required=True, metavar="FILE", help="filename,label lines")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--chip-size", type=int, default=160)
+    p.add_argument("--chip-size", type=int, default=PipelineConfig.chip_size)
 
     p = sub.add_parser("eval", help="score a report stream against truth labels")
     p.add_argument("--reports", required=True, metavar="FILE")
@@ -135,17 +144,65 @@ def _merged_weights(paths):
     return WeightStore.merge(*(load_weights(p) for p in paths))
 
 
-def _detector_config(args):
-    parts = str(args.thresholds).split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--thresholds needs three values, got {args.thresholds!r}")
-    try:
-        cuts = tuple(float(v) for v in parts)
-    except ValueError:
-        raise ConfigError(f"--thresholds values must be numbers, got {args.thresholds!r}") from None
-    return DetectorConfig(
-        min_face_size=args.min_face, scale_factor=args.scale_factor, thresholds=cuts
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
+
+
+def _checked(key, value, kind):
+    """``value`` as ``kind``: int, float, bool, str, or tuple for three floats."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise ConfigError(f"{key} needs three numbers, got {value!r}")
+        return tuple(_checked(key, v, float) for v in value)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _protected(name):
+    if name not in PROTECT_CHOICES:
+        raise ConfigError(f"protect must be one of {', '.join(sorted(PROTECT_CHOICES))}, got {name!r}")
+    return PROTECT_CHOICES[name]
+
+
+# config key -> (PipelineConfig part, field, value kind, conversion)
+_CONFIG_KEYS = {
+    "min_face": ("detector", "min_face_size", int, None),
+    "scale_factor": ("detector", "scale_factor", float, None),
+    "thresholds": ("detector", "thresholds", tuple, None),
+    "chip_size": ("pipeline", "chip_size", int, None),
+    "threshold": ("pipeline", "threshold", float, None),
+    "method": ("pipeline", "method", str, parse_method),
+    "protect": ("policy", "labels", str, _protected),
+    "redact_on_tie": ("policy", "redact_on_tie", bool, None),
+    "box_expansion": ("policy", "box_expansion", float, None),
+}
+
+
+def pipeline_config_from(values, emit_timing=True):
+    """Bench-config mapping -> the PipelineConfig of every command.
+
+    Keys absent from ``values`` keep the dataclass defaults and unknown
+    keys are ignored.  A value of the wrong type or range raises
+    ConfigError.
+    """
+    parts = {"detector": {}, "pipeline": {}, "policy": {}}
+    for key, (part, name, kind, convert) in _CONFIG_KEYS.items():
+        if key in values:
+            value = _checked(key, values[key], kind)
+            parts[part][name] = convert(value) if convert else value
+    return PipelineConfig(
+        detector=DetectorConfig(**parts["detector"]),
+        policy=RedactionPolicy(**parts["policy"]),
+        emit_timing=emit_timing,
+        **parts["pipeline"],
     )
+
+
+def _given(args):
+    """Command line values that were set, under their config key names."""
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def iter_input(path):
@@ -195,45 +252,27 @@ def load_labels(path):
 
 
 def _cmd_detect(args):
+    cfg = pipeline_config_from(_given(args)).detector
     weights = _merged_weights(args.weights)
-    cfg = PipelineConfig(
-        detector=_detector_config(args), policy=RedactionPolicy(labels=frozenset())
-    )
-    pipe = Pipeline(weights, config=cfg)
+    nets = detector_nets()
+    for net in nets.values():
+        net.check_weights(weights)
     n_frames = n_faces = 0
     with open(args.out, "w", encoding="utf-8") as out:
         for i, (source, frame) in enumerate(iter_input(args.input)):
-            _, report = pipe.process_frame(frame, i, source=source)
-            lean = {
-                "frame": report["frame"],
-                "source": report["source"],
-                "faces": [
-                    {k: f[k] for k in ("box", "score", "landmarks")} for f in report["faces"]
-                ],
-            }
-            out.write(report_line(lean) + "\n")
+            dets = detect_faces(to_planar(frame), weights, cfg, nets)
+            faces = [detection_entry(det) for det in dets]
+            out.write(report_line({"frame": i, "source": source, "faces": faces}) + "\n")
             n_frames += 1
-            n_faces += len(report["faces"])
+            n_faces += len(faces)
     print(json.dumps({"frames": n_frames, "faces": n_faces}))
     return 0
 
 
 def _cmd_run(args):
+    cfg = pipeline_config_from(_given(args), emit_timing=not args.no_timing)
     weights = _merged_weights(args.weights)
     gallery = load_gallery(args.gallery) if args.gallery else None
-    policy = RedactionPolicy(
-        labels=PROTECT_CHOICES[args.protect],
-        redact_on_tie=not args.no_redact_ties,
-        box_expansion=args.box_expansion,
-    )
-    cfg = PipelineConfig(
-        detector=_detector_config(args),
-        chip_size=args.chip_size,
-        threshold=args.threshold,
-        method=parse_method(args.method),
-        policy=policy,
-        emit_timing=not args.no_timing,
-    )
     pipe = Pipeline(weights, gallery, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,24 +372,12 @@ def _cmd_bench(args):
     if not isinstance(raw, dict) or "weights" not in raw or "input" not in raw:
         raise ConfigError(f"{args.config} must be a JSON object with weights and input")
     paths = raw["weights"] if isinstance(raw["weights"], list) else [raw["weights"]]
+    for key, value in [("weights", p) for p in paths] + [("input", raw["input"])]:
+        _checked(key, value, str)
+    # without a gallery nothing can be classified, so protect no label
+    cfg = pipeline_config_from({"protect": "child" if raw.get("gallery") else "none", **raw})
     weights = _merged_weights(paths)
-    gallery = load_gallery(raw["gallery"]) if raw.get("gallery") else None
-    policy = RedactionPolicy(
-        labels=PROTECT_CHOICES[raw.get("protect", "child" if gallery else "none")],
-        redact_on_tie=raw.get("redact_on_tie", True),
-        box_expansion=raw.get("box_expansion", 0.1),
-    )
-    cfg = PipelineConfig(
-        detector=DetectorConfig(
-            min_face_size=raw.get("min_face", 20),
-            scale_factor=raw.get("scale_factor", 0.709),
-            thresholds=tuple(raw.get("thresholds", (0.6, 0.7, 0.7))),
-        ),
-        chip_size=raw.get("chip_size", 160),
-        threshold=raw.get("threshold", 0.0),
-        method=parse_method(raw.get("method", "pixelate")),
-        policy=policy,
-    )
+    gallery = load_gallery(_checked("gallery", raw["gallery"], str)) if raw.get("gallery") else None
     pipe = Pipeline(weights, gallery, cfg)
     frames = [frame for _, frame in iter_input(raw["input"])]
     if not frames:

@@ -126,11 +126,14 @@ class _KeyStream:
         self._buf = b""
 
     def take(self, n):
-        while len(self._buf) < n:
-            self._buf += hashlib.sha256(
-                self._prefix + self._counter.to_bytes(8, "little")
-            ).digest()
-            self._counter += 1
+        if len(self._buf) < n:
+            # join the digests once: a bytes += per digest is quadratic in n
+            blocks = -(-(n - len(self._buf)) // 32)
+            counters = range(self._counter, self._counter + blocks)
+            self._buf += b"".join(
+                hashlib.sha256(self._prefix + c.to_bytes(8, "little")).digest() for c in counters
+            )
+            self._counter += blocks
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 

@@ -179,28 +179,25 @@ def refine_boxes(boxes, offsets):
 
     Offsets are in box-size units: x1' = x1 + dx1 * w, and so on.  Boxes
     whose width or height is not positive after the shift are dropped;
-    returns (squared boxes, number dropped).
+    returns (squared boxes of the survivors, boolean keep mask over the
+    input rows).
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
-    if boxes.shape != offsets.shape:
+    if boxes.shape != offsets.shape or boxes.shape[1:] != (4,):
         raise ConfigError(f"boxes {boxes.shape} vs offsets {offsets.shape}")
-    if boxes.shape[0] == 0:
-        return boxes.copy(), 0
     w = boxes[:, 2] - boxes[:, 0]
     h = boxes[:, 3] - boxes[:, 1]
-    scalers = np.stack([w, h, w, h], axis=1)
-    shifted = boxes + offsets * scalers
+    shifted = boxes + offsets * np.stack([w, h, w, h], axis=1)
     nw = shifted[:, 2] - shifted[:, 0]
     nh = shifted[:, 3] - shifted[:, 1]
-    ok = (nw > 0.0) & (nh > 0.0)
-    dropped = int(np.count_nonzero(~ok))
-    shifted, nw, nh = shifted[ok], nw[ok], nh[ok]
+    keep = (nw > 0.0) & (nh > 0.0)
+    shifted, nw, nh = shifted[keep], nw[keep], nh[keep]
     side = np.maximum(nw, nh)
     cx = (shifted[:, 0] + shifted[:, 2]) / 2.0
     cy = (shifted[:, 1] + shifted[:, 3]) / 2.0
     out = np.stack([cx - side / 2.0, cy - side / 2.0, cx + side / 2.0, cy + side / 2.0], axis=1)
-    return out, dropped
+    return out, keep
 
 
 def pnet_scan(level, weights, threshold, net=None):
@@ -229,14 +226,12 @@ def _stage1(img, net, weights, cfg):
         all_scores.append(scores[keep])
         all_offsets.append(offsets[keep])
     if not all_boxes:
-        return np.zeros((0, 4)), np.zeros(0)
+        return np.zeros((0, 4))
     boxes = np.concatenate(all_boxes)
     scores = np.concatenate(all_scores)
     offsets = np.concatenate(all_offsets)
     keep = nms(boxes, scores, cfg.nms_stage1, mode="union")
-    boxes, _ = refine_boxes(boxes[keep], offsets[keep])
-    # refine_boxes never drops here: squared 12x12 cells always keep w,h > 0
-    return boxes, scores[keep]
+    return refine_boxes(boxes[keep], offsets[keep])[0]
 
 
 def _require_finite(net_name, heads):
@@ -302,10 +297,9 @@ def _stage2(img, boxes, net, weights, cfg):
         "rnet", img, boxes, weights, cfg.thresholds[1], net=net
     )
     if boxes.shape[0] == 0:
-        return np.zeros((0, 4)), np.zeros(0)
+        return boxes
     keep = nms(boxes, scores, cfg.nms_stage2, mode="union")
-    boxes, _ = refine_boxes(boxes[keep], offsets[keep])
-    return boxes, scores[keep]
+    return refine_boxes(boxes[keep], offsets[keep])[0]
 
 
 def _decode_landmarks(raw, boxes):
@@ -337,20 +331,10 @@ def _stage3(img, boxes, net, weights, cfg):
     )
     if boxes.shape[0] == 0:
         return np.zeros((0, 4)), np.zeros(0), np.zeros((0, 5, 2))
-    refined, dropped = refine_boxes(boxes, offsets)
-    if dropped:
-        kept = _refine_survivors(boxes, offsets)
-        scores, pts = scores[kept], pts[kept]
-    pts = _clamp_landmarks(pts, refined)
+    refined, ok = refine_boxes(boxes, offsets)
+    scores, pts = scores[ok], _clamp_landmarks(pts[ok], refined)
     keep = nms(refined, scores, cfg.nms_stage3, mode="min")
     return refined[keep], scores[keep], pts[keep]
-
-
-def _refine_survivors(boxes, offsets):
-    w = boxes[:, 2] - boxes[:, 0]
-    h = boxes[:, 3] - boxes[:, 1]
-    shifted = boxes + offsets * np.stack([w, h, w, h], axis=1)
-    return (shifted[:, 2] - shifted[:, 0] > 0.0) & (shifted[:, 3] - shifted[:, 1] > 0.0)
 
 
 def detect_faces(img, weights, config=None, nets=None):
@@ -367,13 +351,13 @@ def detect_faces(img, weights, config=None, nets=None):
         raise ConfigError(f"expected (3,H,W) image, got shape {img.shape}")
 
     try:
-        boxes, scores = _stage1(img, nets["pnet"], weights, cfg)
+        boxes = _stage1(img, nets["pnet"], weights, cfg)
     except DegenerateInputError:
         # image too small for any pyramid level: nothing detectable
         return []
     if boxes.shape[0] == 0:
         return []
-    boxes, scores = _stage2(img, boxes, nets["rnet"], weights, cfg)
+    boxes = _stage2(img, boxes, nets["rnet"], weights, cfg)
     if boxes.shape[0] == 0:
         return []
     boxes, scores, pts = _stage3(img, boxes, nets["onet"], weights, cfg)

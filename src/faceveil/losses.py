@@ -83,16 +83,14 @@ def triplet_loss(anchors, positives, negatives, margin=0.2):
     return loss, (da, dp, dn)
 
 
-def select_triplets(embeddings, labels, margin=0.2):
+def select_triplets(embeddings, labels):
     """Pick (anchor, positive, negative) index triples from one batch.
 
     Every ordered same-label pair (a, p), a != p, becomes a triplet.  The
     negative is semi-hard: among other-label samples farther from the
     anchor than the positive, the closest one; if none qualifies, the
-    closest other-label sample overall.  The margin parameter is accepted
-    for signature stability but plays no role in the selection rule.
+    closest other-label sample overall.
     """
-    del margin
     emb = np.asarray(embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     if emb.ndim != 2 or emb.shape[0] != labels.shape[0]:

@@ -15,6 +15,7 @@ Head outputs:
 
 from __future__ import annotations
 
+from .errors import ConfigError
 from .nn import Conv2D, FullyConnected, L2Normalize, MaxPool2D, Network, PReLU, Softmax
 
 EMBED_DIM = 128
@@ -96,7 +97,7 @@ def embedding_net(input_size=160):
     """
     s = int(input_size)
     if s < 16 or s % 16:
-        raise ValueError(f"input_size must be a positive multiple of 16, got {input_size}")
+        raise ConfigError(f"input_size must be a positive multiple of 16, got {input_size}")
     p = "embed"
     side = s // 16
     trunk = [

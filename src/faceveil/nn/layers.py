@@ -130,6 +130,7 @@ class MaxPool2D(Layer):
         self.stride = stride
 
     def out_shape(self, in_shape):
+        ops.check_pool(self.kernel, self.stride, self.name)
         return (
             in_shape[0],
             ops.pool_output_size(in_shape[1], self.kernel, self.stride),

@@ -98,6 +98,13 @@ def pool_output_size(n, kernel, stride):
     return max(0, -(-(n - kernel) // stride)) + 1
 
 
+def check_pool(kernel, stride, layer="maxpool2d"):
+    # a stride past the kernel skips pixels, and ceil mode then counts
+    # windows that start beyond the input and hold only -inf
+    if not 1 <= stride <= kernel:
+        raise ConfigError(f"{layer}: need 1 <= stride <= kernel, got kernel {kernel}, stride {stride}")
+
+
 def maxpool2d(x, kernel, stride, layer="maxpool2d"):
     """Max over kernel x kernel windows of the last two axes, ceil mode.
 
@@ -105,8 +112,7 @@ def maxpool2d(x, kernel, stride, layer="maxpool2d"):
     """
     if x.ndim not in (3, 4):
         raise ConfigError(f"{layer}: expected rank-3 or rank-4 input, got {x.ndim}")
-    if kernel < 1 or stride < 1:
-        raise ConfigError(f"{layer}: kernel and stride must be >= 1")
+    check_pool(kernel, stride, layer)
     lead, (h, w) = x.shape[:-2], x.shape[-2:]
     oh = pool_output_size(h, kernel, stride)
     ow = pool_output_size(w, kernel, stride)

@@ -74,13 +74,9 @@ class Pipeline:
         faces = []
         policy_input = []
         for i, det in enumerate(dets):
-            entry = {
-                "box": [det.box.x1, det.box.y1, det.box.x2, det.box.y2],
-                "score": det.box.score,
-                "landmarks": [list(p) for p in det.landmarks],
-                "label": results[i].label if results else None,
-                "redacted": False,
-            }
+            entry = detection_entry(det)
+            entry["label"] = results[i].label if results else None
+            entry["redacted"] = False
             tie = False
             if results:
                 entry["d_child"] = results[i].d_child
@@ -119,6 +115,15 @@ class Pipeline:
             if report_file is not None:
                 report_file.write(report_line(report) + "\n")
             yield out
+
+
+def detection_entry(det):
+    """A detection's report fields: box, score and five landmark points."""
+    return {
+        "box": [det.box.x1, det.box.y1, det.box.x2, det.box.y2],
+        "score": det.box.score,
+        "landmarks": [list(p) for p in det.landmarks],
+    }
 
 
 def report_line(report):
@@ -250,30 +255,18 @@ def evaluate_chips(chips, labels, weights, gallery, chip_size=160, threshold=0.0
 
 
 def evaluate_stream(frames, labels, pipeline):
-    """Detect one face per labeled frame, classify it, score the run.
+    """Run labeled frames through the pipeline and score its reports.
 
-    The highest-scoring detection represents the frame; frames with no
-    detection count as misses and stay out of the ROC.
+    Scoring is evaluate_reports': the highest-scoring face represents
+    the frame, and frames with no face count as misses and stay out of
+    the ROC.  Frames and labels must pair up one to one.
     """
     labels = list(labels)
     for truth in labels:
         if truth not in LABELS:
             raise DataError(f"unknown probe label {truth!r}")
-
-    def pairs():
-        for frame, truth in zip(frames, labels):
-            img = to_planar(frame)
-            dets = detect_faces(img, pipeline.weights, pipeline.config.detector, pipeline.nets)
-            if not dets:
-                yield truth, None, None
-                continue
-            chip = align_crop(img, dets[0].box, pipeline.config.chip_size)
-            emb = embed_chip(chip, pipeline.weights, pipeline.embedder)
-            d = classify(emb, pipeline.gallery, pipeline.config.threshold)
-            yield truth, d.label, d.margin
-
-    n, miss, confusion, roc = _tally(pairs())
-    return EvalSummary(n, miss, confusion, roc)
+    reports = [pipeline.process_frame(frame, i)[1] for i, frame in enumerate(frames)]
+    return evaluate_reports(reports, {str(i): truth for i, truth in enumerate(labels)})
 
 
 def bench(frames, pipeline, repeats=1):

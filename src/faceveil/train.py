@@ -186,7 +186,7 @@ def _train_embedder(config):
                 embs.append(np.asarray(heads["embedding"], dtype=np.float64))
                 caches.append(cache)
             embs = np.asarray(embs)
-            triplets = select_triplets(embs, labels[idx], config.margin)
+            triplets = select_triplets(embs, labels[idx])
             if not triplets:
                 continue
             ta, tp, tn = (np.array(col) for col in zip(*triplets))

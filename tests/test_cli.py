@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import TOY_CHIP, chip_batch
-from faceveil.cli import iter_input, load_labels, main
+from faceveil.cli import _given, build_parser, iter_input, load_labels, main, pipeline_config_from
+from faceveil.denature import Blur
+from faceveil.detect import DetectorConfig
 from faceveil.image import to_frame
 from faceveil.imgio import load_ppm, save_frames, save_ppm
 from faceveil.nn import load_weights, save_weights
+from faceveil.pipeline import PipelineConfig, report_line
 from faceveil.recognize import ADULT, CHILD, load_gallery, save_gallery
 from faceveil.synth import make_portrait
 
@@ -120,6 +123,29 @@ class TestDetect:
         )
         assert code == 1
         assert "thresholds" in err
+
+    def test_lines_are_run_reports_projected(self, art, capsys, tmp_path):
+        boxes = tmp_path / "boxes.jsonl"
+        assert run_cli(
+            capsys, "detect", "--weights", art["det_w"],
+            "--input", art["stream"], "--out", str(boxes),
+        )[0] == 0
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            capsys, "run", "--weights", art["det_w"], "--input", art["stream"],
+            "--out-dir", str(out_dir), "--protect", "none", "--no-timing",
+        )[0] == 0
+        reps = [json.loads(ln) for ln in (out_dir / "report.jsonl").read_text().splitlines()]
+        assert any(r["faces"] for r in reps)
+        want = [
+            report_line({
+                "frame": r["frame"],
+                "source": r["source"],
+                "faces": [{k: f[k] for k in ("box", "score", "landmarks")} for f in r["faces"]],
+            })
+            for r in reps
+        ]
+        assert boxes.read_text().splitlines() == want
 
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "detect", "--bogus")
@@ -387,6 +413,62 @@ class TestBenchCommand:
         cfg = tmp_path / "bench.json"
         cfg.write_text("{nope")
         assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("protect", "kids"),
+            ("min_face", "20"),
+            ("thresholds", "abc"),
+            ("scale_factor", None),
+            ("method", 3),
+            ("chip_size", "x"),
+            ("box_expansion", "a"),
+            ("chip_size", 20),
+            ("min_face", True),
+            ("redact_on_tie", 1),
+            ("threshold", float("nan")),
+            ("box_expansion", float("inf")),
+            ("thresholds", [0.6, 0.7]),
+            ("thresholds", [0.6, "0.7", 0.7]),
+            ("protect", ["child"]),
+        ],
+    )
+    def test_malformed_value_exits_1(self, art, capsys, tmp_path, key, value):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "weights": [art["det_w"], art["emb_w"]],
+            "input": art["stream"],
+            "gallery": art["gallery"],
+            "chip_size": TOY_CHIP,
+            key: value,
+        }))
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("faceveil: ")
+
+
+class TestPipelineConfigFrom:
+    def test_defaults_come_from_the_dataclasses(self):
+        assert pipeline_config_from({}) == PipelineConfig()
+
+    def test_run_flags_and_bench_keys_agree(self):
+        args = build_parser().parse_args([
+            "run", "--weights", "w.mprw", "--input", "in", "--out-dir", "out",
+            "--min-face", "24", "--scale-factor", "0.5", "--thresholds", "0.5,0.6,0.8",
+            "--threshold", "0.25", "--chip-size", "32", "--method", "blur:2",
+            "--protect", "all", "--box-expansion", "0.2", "--no-redact-ties",
+        ])
+        cfg = pipeline_config_from(_given(args))
+        assert cfg == pipeline_config_from({
+            "min_face": 24, "scale_factor": 0.5, "thresholds": [0.5, 0.6, 0.8],
+            "threshold": 0.25, "chip_size": 32, "method": "blur:2",
+            "protect": "all", "box_expansion": 0.2, "redact_on_tie": False,
+        })
+        assert cfg.detector == DetectorConfig(24, 0.5, (0.5, 0.6, 0.8))
+        assert cfg.method == Blur(2.0)
+        assert cfg.policy.labels == {CHILD, ADULT}
+        assert not cfg.policy.redact_on_tie
 
 
 class TestIterInput:

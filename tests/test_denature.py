@@ -172,12 +172,14 @@ class TestScramble:
             scramble_region(frame, box, b"k"), scramble_region(frame, box, b"k")
         )
 
-    def test_matches_specified_keystream(self):
+    @pytest.mark.parametrize("h, w", [(2, 2), (23, 17)], ids=["2x2", "23x17"])
+    def test_matches_specified_keystream(self, h, w):
         # independent re-derivation: SHA-256(key | tag | LE u64 counter)
         # keystream, Fisher-Yates permutation by rejection-sampled bytes,
-        # then XOR of the shuffled pixel bytes
-        key, h, w = b"vector", 2, 2
-        frame = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+        # then XOR of the shuffled pixel bytes; 23x17 spans 37 pad blocks
+        # and draws 2-byte indices
+        key = b"vector"
+        frame = (np.arange(h * w * 3) % 256).astype(np.uint8).reshape(h, w, 3)
 
         def stream(tag):
             counter = 0

@@ -193,9 +193,9 @@ class TestNms:
 
 class TestRefineBoxes:
     def test_zero_offsets_keep_square(self):
-        out, dropped = refine_boxes([[0, 0, 10, 10]], [[0, 0, 0, 0]])
+        out, keep = refine_boxes([[0, 0, 10, 10]], [[0, 0, 0, 0]])
         np.testing.assert_allclose(out, [[0, 0, 10, 10]])
-        assert dropped == 0
+        assert (~keep).sum() == 0
 
     def test_uniform_offset_shifts(self):
         out, _ = refine_boxes([[0, 0, 10, 10]], [[0.1, 0.1, 0.1, 0.1]])
@@ -208,18 +208,19 @@ class TestRefineBoxes:
     def test_collapsed_box_dropped_and_counted(self):
         boxes = [[0, 0, 10, 10], [0, 0, 10, 10]]
         offsets = [[0, 0, 0, 0], [1.0, 0, -1.0, 0]]  # second collapses to w<0
-        out, dropped = refine_boxes(boxes, offsets)
+        out, keep = refine_boxes(boxes, offsets)
         assert out.shape == (1, 4)
-        assert dropped == 1
+        assert (~keep).sum() == 1
+        assert keep.tolist() == [True, False]
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
             refine_boxes([[0, 0, 1, 1]], [[0, 0, 0]])
 
     def test_empty_input(self):
-        out, dropped = refine_boxes(np.zeros((0, 4)), np.zeros((0, 4)))
+        out, keep = refine_boxes(np.zeros((0, 4)), np.zeros((0, 4)))
         assert out.shape == (0, 4)
-        assert dropped == 0
+        assert (~keep).sum() == 0
 
 
 class TestCropGeometry:

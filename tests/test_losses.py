@@ -182,14 +182,6 @@ class TestSelectTriplets:
         # d_ap = 16 exceeds every negative: fall back to the nearest (index 2)
         assert (0, 1, 2) in got
 
-    def test_margin_is_ignored(self):
-        rng = np.random.default_rng(5)
-        emb = rng.normal(size=(8, 4))
-        labels = np.array(["child", "adult"] * 4)
-        assert select_triplets(emb, labels, margin=0.0) == select_triplets(
-            emb, labels, margin=5.0
-        )
-
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(100):

@@ -354,6 +354,11 @@ class TestEvaluateHelpers:
         with pytest.raises(DataError):
             evaluate_stream([], ["toddler"], pipeline)
 
+    def test_evaluate_stream_rejects_labels_without_frames(self, pipeline):
+        frame = np.full((48, 48, 3), 128, dtype=np.uint8)
+        with pytest.raises(DataError):
+            evaluate_stream([frame], [CHILD, ADULT], pipeline)
+
 
 class TestBench:
     def test_stats_shape(self, pipeline, portrait_frame):

@@ -18,6 +18,7 @@ from faceveil.errors import (
 from faceveil.models import detector_nets, embedding_net, proposal_net
 from faceveil.nn import (
     Conv2D,
+    MaxPool2D,
     Network,
     PReLU,
     Softmax,
@@ -101,6 +102,13 @@ class TestMaxPool:
         assert pool_output_size(12, 2, 2) == 6
         assert pool_output_size(13, 3, 2) == 6
         assert pool_output_size(5, 2, 2) == 3
+
+    def test_stride_past_kernel_rejected(self):
+        # ceil mode would count windows that start past the input (all -inf)
+        with pytest.raises(ConfigError):
+            maxpool2d(np.arange(25.0).reshape(1, 5, 5), 1, 3)
+        with pytest.raises(ConfigError):
+            MaxPool2D(1, 3).out_shape((1, 5, 5))
 
     def test_random_against_window_scan(self):
         rng = np.random.default_rng(4)
