@@ -183,9 +183,10 @@ _CONFIG_KEYS = {
 def pipeline_config_from(values, emit_timing=True):
     """Bench-config mapping -> the PipelineConfig of every command.
 
-    Keys absent from ``values`` keep the dataclass defaults and unknown
-    keys are ignored.  A value of the wrong type or range raises
-    ConfigError.
+    Keys absent from ``values`` keep the dataclass defaults.  Other keys
+    are not read, since ``run`` and ``detect`` pass their whole argparse
+    namespace; ``bench`` rejects unknown keys before it calls this.  A
+    value of the wrong type or range raises ConfigError.
     """
     parts = {"detector": {}, "pipeline": {}, "policy": {}}
     for key, (part, name, kind, convert) in _CONFIG_KEYS.items():
@@ -371,6 +372,9 @@ def _cmd_bench(args):
             raise DataError(f"{args.config}: {e}") from None
     if not isinstance(raw, dict) or "weights" not in raw or "input" not in raw:
         raise ConfigError(f"{args.config} must be a JSON object with weights and input")
+    unknown = sorted(raw.keys() - _CONFIG_KEYS.keys() - {"weights", "input", "gallery"})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown keys {', '.join(map(repr, unknown))}")
     paths = raw["weights"] if isinstance(raw["weights"], list) else [raw["weights"]]
     for key, value in [("weights", p) for p in paths] + [("input", raw["input"])]:
         _checked(key, value, str)

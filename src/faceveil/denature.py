@@ -137,25 +137,36 @@ class _KeyStream:
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
-    def randint(self, bound):
-        """Uniform int in [0, bound) by rejection sampling."""
-        nbytes = max(1, (int(bound - 1).bit_length() + 7) // 8)
-        space = 256**nbytes
-        limit = (space // bound) * bound
-        while True:
-            r = int.from_bytes(self.take(nbytes), "little")
-            if r < limit:
-                return r % bound
+
+# most draws decoded per keystream read; bounds the decode buffers
+_DRAW_CHUNK = 4096
 
 
 def _permutation(n, key, shape):
-    tag = b"perm|%dx%d" % shape
-    ks = _KeyStream(key, tag)
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):  # Fisher-Yates, descending
-        j = ks.randint(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    """Fisher-Yates over range(n), descending, by rejection sampling.
+
+    The draw for index i reads the next max(1, ceil(bits(i) / 8))
+    keystream bytes as a little-endian int r, and retries while r falls
+    in the biased tail of its byte space; j = r % (i + 1).  Draws of one
+    byte width are decoded together, never more chunks than draws are
+    left at that width, so no byte past the last draw is read.
+    """
+    ks = _KeyStream(key, b"perm|%dx%d" % shape)
+    perm = list(range(n))
+    i = n - 1
+    while i > 0:
+        nbytes = max(1, (i.bit_length() + 7) // 8)
+        space = 256**nbytes
+        count = min(i - 256 ** (nbytes - 1) + 1, _DRAW_CHUNK)
+        chunks = np.zeros((count, 8), dtype=np.uint8)
+        chunks[:, :nbytes] = np.frombuffer(ks.take(count * nbytes), np.uint8).reshape(count, nbytes)
+        for r in chunks.view("<u8").ravel().tolist():
+            bound = i + 1
+            if r < space - space % bound:
+                j = r % bound
+                perm[i], perm[j] = perm[j], perm[i]
+                i -= 1
+    return np.array(perm, dtype=np.int64)
 
 
 def _xor_bytes(flat, key, shape):

@@ -1,13 +1,14 @@
 """Frame I/O.
 
 Native format is binary PPM (P6) with maxval 255.  A "video" is simply
-several P6 images concatenated in one file; the reader keeps yielding
-frames until the buffer runs out.  PNG support is optional and only
-activates when Pillow is importable.
+several P6 images concatenated in one file; the reader reads and yields
+one frame at a time until the file runs out.  PNG support is optional
+and only activates when Pillow is importable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -17,32 +18,34 @@ from .errors import ConfigError, DataError
 _WS = b" \t\r\n\v\f"
 
 
-def _next_token(buf, off, what):
+def _read_while(f, keep):
+    """Consume and return the bytes of f up to the first one ``keep`` rejects."""
+    out = bytearray()
+    while (c := f.peek(1)[:1]) and keep(c):
+        out += f.read(1)
+    return bytes(out)
+
+
+def _next_token(f, what):
     # skip whitespace and '#' comments (comment runs to end of line)
-    n = len(buf)
     while True:
-        while off < n and buf[off] in _WS:
-            off += 1
-        if off < n and buf[off : off + 1] == b"#":
-            while off < n and buf[off] != 0x0A:
-                off += 1
-            continue
-        break
-    start = off
-    while off < n and buf[off] not in _WS and buf[off : off + 1] != b"#":
-        off += 1
-    if start == off:
+        _read_while(f, lambda c: c in _WS)
+        if f.peek(1)[:1] != b"#":
+            break
+        _read_while(f, lambda c: c != b"\n")
+    tok = _read_while(f, lambda c: c not in _WS and c != b"#")
+    if not tok:
         raise DataError(f"truncated PPM header: missing {what}")
-    return buf[start:off], off
+    return tok
 
 
-def _parse_p6(buf, off):
-    magic, off = _next_token(buf, off, "magic")
+def _read_p6(f):
+    magic = _next_token(f, "magic")
     if magic != b"P6":
         raise DataError(f"not a binary PPM image (magic {magic!r})")
     dims = []
     for what in ("width", "height", "maxval"):
-        tok, off = _next_token(buf, off, what)
+        tok = _next_token(f, what)
         try:
             dims.append(int(tok))
         except ValueError:
@@ -52,35 +55,40 @@ def _parse_p6(buf, off):
         raise DataError(f"PPM size {w}x{h} out of range")
     if maxval != 255:
         raise DataError(f"unsupported PPM maxval {maxval}, only 255 is handled")
-    off += 1  # exactly one whitespace byte separates the header from the raster
-    end = off + 3 * w * h
-    if end > len(buf):
-        raise DataError(f"PPM raster truncated: need {end - off} bytes, have {len(buf) - off}")
-    frame = np.frombuffer(buf[off:end], dtype=np.uint8).reshape(h, w, 3)
-    return frame.copy(), end
+    f.seek(1, os.SEEK_CUR)  # exactly one whitespace byte separates the header from the raster
+    # check the size before allocating, so a forged header cannot claim gigabytes
+    need, have = 3 * w * h, os.fstat(f.fileno()).st_size - f.tell()
+    if need > have:
+        raise DataError(f"PPM raster truncated: need {need} bytes, have {have}")
+    frame = np.empty((h, w, 3), dtype=np.uint8)
+    got = f.readinto(frame)
+    if got != need:
+        raise DataError(f"PPM raster truncated: need {need} bytes, have {got}")
+    return frame
 
 
 def iter_frames(path):
-    """Yield every (H, W, 3) uint8 frame in a (possibly multi-image) P6 file."""
-    with open(path, "rb") as f:
-        buf = f.read()
-    off = 0
+    """Yield every (H, W, 3) uint8 frame in a (possibly multi-image) P6 file.
+
+    Frames are read one at a time, so a long stream never sits in memory.
+    """
     got_any = False
-    while True:
-        while off < len(buf) and buf[off] in _WS:
-            off += 1
-        if off >= len(buf):
-            break
-        frame, off = _parse_p6(buf, off)
-        got_any = True
-        yield frame
+    with open(path, "rb") as f:
+        while True:
+            _read_while(f, lambda c: c in _WS)
+            if not f.peek(1):
+                break
+            frame = _read_p6(f)
+            got_any = True
+            yield frame
     if not got_any:
         raise DataError(f"{path}: no PPM frames found")
 
 
 def load_ppm(path):
     """Read the first frame of a P6 file."""
-    return next(iter_frames(path))
+    with contextlib.closing(iter_frames(path)) as frames:
+        return next(frames)
 
 
 def _check_frame(frame):

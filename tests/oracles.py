@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from faceveil.errors import DataError
+
 
 def conv2d_direct(x, w, b, stride, padding):
     """Six-nested-loop cross-correlation."""
@@ -152,3 +154,67 @@ def bilinear_point(img, ch, sy, sx):
     top = at(y0, x0) + tx * (at(y0, x0 + 1) - at(y0, x0))
     bot = at(y0 + 1, x0) + tx * (at(y0 + 1, x0 + 1) - at(y0 + 1, x0))
     return top + ty * (bot - top)
+
+
+_PPM_WS = b" \t\r\n\v\f"
+
+
+def _ppm_token(buf, off, what):
+    # skip whitespace and '#' comments (comment runs to end of line)
+    n = len(buf)
+    while True:
+        while off < n and buf[off] in _PPM_WS:
+            off += 1
+        if off < n and buf[off : off + 1] == b"#":
+            while off < n and buf[off] != 0x0A:
+                off += 1
+            continue
+        break
+    start = off
+    while off < n and buf[off] not in _PPM_WS and buf[off : off + 1] != b"#":
+        off += 1
+    if start == off:
+        raise DataError(f"truncated PPM header: missing {what}")
+    return buf[start:off], off
+
+
+def _ppm_frame(buf, off):
+    magic, off = _ppm_token(buf, off, "magic")
+    if magic != b"P6":
+        raise DataError(f"not a binary PPM image (magic {magic!r})")
+    dims = []
+    for what in ("width", "height", "maxval"):
+        tok, off = _ppm_token(buf, off, what)
+        try:
+            dims.append(int(tok))
+        except ValueError:
+            raise DataError(f"PPM {what} is not a number: {tok!r}") from None
+    w, h, maxval = dims
+    if w < 1 or h < 1:
+        raise DataError(f"PPM size {w}x{h} out of range")
+    if maxval != 255:
+        raise DataError(f"unsupported PPM maxval {maxval}, only 255 is handled")
+    off += 1  # exactly one whitespace byte separates the header from the raster
+    end = off + 3 * w * h
+    if end > len(buf):
+        raise DataError(f"PPM raster truncated: need {end - off} bytes, have {len(buf) - off}")
+    frame = np.frombuffer(buf[off:end], dtype=np.uint8).reshape(h, w, 3)
+    return frame.copy(), end
+
+
+def ppm_frames_whole_buffer(path):
+    """Multi-image P6 reader that parses the whole file from one buffer."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    off = 0
+    got_any = False
+    while True:
+        while off < len(buf) and buf[off] in _PPM_WS:
+            off += 1
+        if off >= len(buf):
+            break
+        frame, off = _ppm_frame(buf, off)
+        got_any = True
+        yield frame
+    if not got_any:
+        raise DataError(f"{path}: no PPM frames found")

@@ -2,6 +2,10 @@
 code contract (1 config, 2 data, 3 invariant)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,27 @@ def run_cli(capsys, *argv):
 
 def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+class TestModuleEntryPoint:
+    """``python -m faceveil`` runs the CLI from a checkout, without installing."""
+
+    def run_module(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "faceveil", *argv], capture_output=True, text=True, env=env
+        )
+
+    def test_help_exits_0(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: faceveil")
+
+    def test_usage_error_exits_1_without_traceback(self):
+        proc = self.run_module("run")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("faceveil: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDetect:
@@ -446,6 +471,22 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
         assert code == 1
         assert err.startswith("faceveil: ")
+
+
+    @pytest.mark.parametrize("key", ["min_face_size", "protect "])
+    def test_unknown_key_exits_1(self, art, capsys, tmp_path, key):
+        # a misspelt setting must not run silently with its default
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({
+            "weights": [art["det_w"], art["emb_w"]],
+            "input": art["stream"],
+            "gallery": art["gallery"],
+            "chip_size": TOY_CHIP,
+            key: 80 if key == "min_face_size" else "none",
+        }))
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("faceveil: ") and repr(key) in err
 
 
 class TestPipelineConfigFrom:

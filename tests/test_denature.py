@@ -148,6 +148,16 @@ class TestScramble:
         restored = unscramble_region(scrambled, box, b"secret")
         np.testing.assert_array_equal(restored, frame)
 
+    def test_round_trip_box_over_256x256(self):
+        # the top 260 * 258 - 65536 draws of this box are 3 bytes wide
+        rng = np.random.default_rng(16)
+        frame = rand_frame(rng, 270, 266)
+        box = (3, 5, 261, 265)
+        scrambled = scramble_region(frame, box, b"wide")
+        assert not np.array_equal(scrambled[5:265, 3:261], frame[5:265, 3:261])
+        np.testing.assert_array_equal(scrambled[:5], frame[:5])
+        np.testing.assert_array_equal(unscramble_region(scrambled, box, b"wide"), frame)
+
     def test_wrong_key_does_not_restore(self):
         rng = np.random.default_rng(7)
         frame = rand_frame(rng)
@@ -172,12 +182,18 @@ class TestScramble:
             scramble_region(frame, box, b"k"), scramble_region(frame, box, b"k")
         )
 
-    @pytest.mark.parametrize("h, w", [(2, 2), (23, 17)], ids=["2x2", "23x17"])
+    @pytest.mark.parametrize(
+        "h, w",
+        [(2, 2), (23, 17), (16, 16), (1, 257), (257, 256)],
+        ids=["2x2", "23x17", "16x16", "1x257", "257x256"],
+    )
     def test_matches_specified_keystream(self, h, w):
         # independent re-derivation: SHA-256(key | tag | LE u64 counter)
         # keystream, Fisher-Yates permutation by rejection-sampled bytes,
         # then XOR of the shuffled pixel bytes; 23x17 spans 37 pad blocks
-        # and draws 2-byte indices
+        # and draws 2-byte indices, 16x16 draws only 1-byte indices, 1x257
+        # one 2-byte draw then 1-byte draws, and 257x256 3-byte draws for
+        # its top 256 indices
         key = b"vector"
         frame = (np.arange(h * w * 3) % 256).astype(np.uint8).reshape(h, w, 3)
 

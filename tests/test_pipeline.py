@@ -3,10 +3,14 @@ and the evaluation helpers."""
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import TOY_CHIP, chip_batch
 from faceveil.denature import Pixelate, RedactionPolicy, Scramble
 from faceveil.detect import DetectorConfig
@@ -101,6 +105,63 @@ class TestPpm:
     def test_zero_frames_refused_on_write(self, tmp_path):
         with pytest.raises(ConfigError):
             save_frames([], tmp_path / "none.ppm")
+
+    def test_comment_longer_than_a_read_piece(self, tmp_path):
+        path = tmp_path / "long.ppm"
+        path.write_bytes(
+            b"P6 #" + b"x" * (3 * io.DEFAULT_BUFFER_SIZE) + b"\n2 1 255\n" + bytes(range(6))
+        )
+        np.testing.assert_array_equal(load_ppm(path), np.arange(6, dtype=np.uint8).reshape(1, 2, 3))
+
+    def test_forged_huge_raster_is_not_allocated(self, tmp_path):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6 40000 40000 255\n\0")
+        assert path.stat().st_size == 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="need 4800000000 bytes, have 1"):
+                list(iter_frames(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stream_matches_whole_buffer_reader(self, tmp_path_factory, data):
+        # random small frames with random whitespace and comments between
+        # and inside the headers, cut at a random offset
+        gap = st.lists(
+            st.one_of(
+                st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\v", b"\f"]),
+                st.binary(max_size=12).map(lambda t: b"#" + t.replace(b"\n", b"") + b"\n"),
+            ),
+            max_size=3,
+        ).map(b"".join)
+        sep = st.tuples(st.sampled_from(list(b" \t\r\n\v\f")), gap).map(
+            lambda t: bytes([t[0]]) + t[1]
+        )
+        raw = data.draw(gap)
+        for _ in range(data.draw(st.integers(1, 3))):
+            h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            fields = [b"P6", b"%d" % w, b"%d" % h, b"255"]
+            raw += fields[0] + b"".join(data.draw(sep) + t for t in fields[1:])
+            raw += data.draw(st.sampled_from(list(b" \t\r\n\v\f"))).to_bytes(1, "little")
+            raw += data.draw(st.binary(min_size=3 * h * w, max_size=3 * h * w)) + data.draw(gap)
+        raw = raw[: data.draw(st.integers(0, len(raw)))]
+        path = tmp_path_factory.mktemp("ppm") / "s.ppm"
+        path.write_bytes(raw)
+
+        def drain(reader):
+            frames = []
+            try:
+                for frame in reader(path):
+                    frames.append(frame.tolist())
+            except DataError as e:
+                return frames, str(e)
+            return frames, None
+
+        assert drain(iter_frames) == drain(oracles.ppm_frames_whole_buffer)
 
 
 class TestPipelineConstruction:
