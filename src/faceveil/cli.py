@@ -20,13 +20,14 @@ from .detect import DetectorConfig, detect_faces
 from .embed import align_crop
 from .errors import ConfigError, DataError, FaceveilError, InvariantError, TrainingDiverged
 from .image import to_planar
-from .imgio import iter_frames, load_image, save_ppm
+from .imgio import iter_frames, load_image, save_ppm, text_lines
 from .models import detector_nets
 from .nn import WeightStore, load_weights
 from .pipeline import (
     Pipeline,
     PipelineConfig,
     bench,
+    check_report,
     detection_entry,
     evaluate_reports,
     report_line,
@@ -231,22 +232,21 @@ def iter_input(path):
 def load_labels(path):
     """filename,label lines -> {filename: label}; a header line is tolerated."""
     truth = {}
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, sep, label = line.rpartition(",")
-            name, label = name.strip(), label.strip()
-            if ln == 1 and label.lower() == "label":
-                continue
-            if not sep or not name:
-                raise DataError(f"{path}:{ln}: expected 'filename,label'")
-            if label not in LABELS:
-                raise DataError(f"{path}:{ln}: unknown label {label!r}")
-            if name in truth:
-                raise DataError(f"{path}:{ln}: duplicate entry for {name!r}")
-            truth[name] = label
+    for ln, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, sep, label = line.rpartition(",")
+        name, label = name.strip(), label.strip()
+        if ln == 1 and label.lower() == "label":
+            continue
+        if not sep or not name:
+            raise DataError(f"{path}:{ln}: expected 'filename,label'")
+        if label not in LABELS:
+            raise DataError(f"{path}:{ln}: unknown label {label!r}")
+        if name in truth:
+            raise DataError(f"{path}:{ln}: duplicate entry for {name!r}")
+        truth[name] = label
     if not truth:
         raise DataError(f"{path}: no labels")
     return truth
@@ -255,13 +255,12 @@ def load_labels(path):
 def _cmd_detect(args):
     cfg = pipeline_config_from(_given(args)).detector
     weights = _merged_weights(args.weights)
-    nets = detector_nets()
-    for net in nets.values():
+    for net in detector_nets().values():
         net.check_weights(weights)
     n_frames = n_faces = 0
     with open(args.out, "w", encoding="utf-8") as out:
         for i, (source, frame) in enumerate(iter_input(args.input)):
-            dets = detect_faces(to_planar(frame), weights, cfg, nets)
+            dets = detect_faces(to_planar(frame), weights, cfg)
             faces = [detection_entry(det) for det in dets]
             out.write(report_line({"frame": i, "source": source, "faces": faces}) + "\n")
             n_frames += 1
@@ -317,15 +316,13 @@ def _cmd_build_gallery(args):
 
 def _cmd_eval(args):
     reports = []
-    with open(args.reports, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                reports.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise DataError(f"{args.reports}:{ln}: {e}") from None
+    for ln, line in text_lines(args.reports):
+        if not line.strip():
+            continue
+        try:
+            reports.append(check_report(json.loads(line)))
+        except (json.JSONDecodeError, DataError) as e:
+            raise DataError(f"{args.reports}:{ln}: {e}") from None
     result = evaluate_reports(reports, load_labels(args.labels))
     if args.roc:
         if result.roc is None:

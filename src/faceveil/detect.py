@@ -200,7 +200,7 @@ def refine_boxes(boxes, offsets):
     return out, keep
 
 
-def pnet_scan(level, weights, threshold, net=None):
+def pnet_scan(level, weights, threshold):
     """Dense proposal scan of one pyramid level.
 
     ``level`` is a (scale, image) pair from build_pyramid.  Normalizes the
@@ -209,16 +209,16 @@ def pnet_scan(level, weights, threshold, net=None):
     Returns (boxes (N, 4), scores (N,), offsets (N, 4)).
     """
     scale, img = level
-    net = net or detector_nets()["pnet"]
+    net = detector_nets()["pnet"]
     heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32)))
     _require_finite(net.name, heads)
     return scan_proposals(heads["prob"], heads["box"], scale, threshold)
 
 
-def _stage1(img, net, weights, cfg):
+def _stage1(img, weights, cfg):
     all_boxes, all_scores, all_offsets = [], [], []
     for level in build_pyramid(img, cfg):
-        boxes, scores, offsets = pnet_scan(level, weights, cfg.thresholds[0], net=net)
+        boxes, scores, offsets = pnet_scan(level, weights, cfg.thresholds[0])
         if boxes.shape[0] == 0:
             continue
         keep = nms(boxes, scores, cfg.nms_per_scale, mode="union")
@@ -261,7 +261,7 @@ def _forward_blocks(net, weights, img, boxes, size):
 _STAGE_SIZES = {"rnet": 24, "onet": 48}
 
 
-def refinement_stage(stage, img, boxes, weights, threshold, net=None):
+def refinement_stage(stage, img, boxes, weights, threshold):
     """Rescore candidate boxes with the 24x24 or 48x48 refinement net.
 
     Crops and scores the candidates in memory-bounded blocks, keeps those
@@ -273,7 +273,7 @@ def refinement_stage(stage, img, boxes, weights, threshold, net=None):
     """
     if stage not in _STAGE_SIZES:
         raise ConfigError(f"unknown refinement stage {stage!r}")
-    net = net or detector_nets()[stage]
+    net = detector_nets()[stage]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     # boxes regressed fully off the frame hold no pixels; drop them
     _, h, w = np.asarray(img).shape
@@ -292,10 +292,8 @@ def refinement_stage(stage, img, boxes, weights, threshold, net=None):
     return boxes, scores, offsets, pts
 
 
-def _stage2(img, boxes, net, weights, cfg):
-    boxes, scores, offsets, _ = refinement_stage(
-        "rnet", img, boxes, weights, cfg.thresholds[1], net=net
-    )
+def _stage2(img, boxes, weights, cfg):
+    boxes, scores, offsets, _ = refinement_stage("rnet", img, boxes, weights, cfg.thresholds[1])
     if boxes.shape[0] == 0:
         return boxes
     keep = nms(boxes, scores, cfg.nms_stage2, mode="union")
@@ -325,10 +323,8 @@ def _clamp_landmarks(pts, boxes):
     return pts
 
 
-def _stage3(img, boxes, net, weights, cfg):
-    boxes, scores, offsets, pts = refinement_stage(
-        "onet", img, boxes, weights, cfg.thresholds[2], net=net
-    )
+def _stage3(img, boxes, weights, cfg):
+    boxes, scores, offsets, pts = refinement_stage("onet", img, boxes, weights, cfg.thresholds[2])
     if boxes.shape[0] == 0:
         return np.zeros((0, 4)), np.zeros(0), np.zeros((0, 5, 2))
     refined, ok = refine_boxes(boxes, offsets)
@@ -337,7 +333,7 @@ def _stage3(img, boxes, net, weights, cfg):
     return refined[keep], scores[keep], pts[keep]
 
 
-def detect_faces(img, weights, config=None, nets=None):
+def detect_faces(img, weights, config=None):
     """Run the full cascade on a (3, H, W) float image with 0..255 values.
 
     Returns a list of Detection sorted by descending score; each carries
@@ -345,22 +341,21 @@ def detect_faces(img, weights, config=None, nets=None):
     a stage net that outputs NaN or infinity raises InvariantError instead.
     """
     cfg = config or DetectorConfig()
-    nets = nets or detector_nets()
     img = np.asarray(img, dtype=np.float32)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ConfigError(f"expected (3,H,W) image, got shape {img.shape}")
 
     try:
-        boxes = _stage1(img, nets["pnet"], weights, cfg)
+        boxes = _stage1(img, weights, cfg)
     except DegenerateInputError:
         # image too small for any pyramid level: nothing detectable
         return []
     if boxes.shape[0] == 0:
         return []
-    boxes = _stage2(img, boxes, nets["rnet"], weights, cfg)
+    boxes = _stage2(img, boxes, weights, cfg)
     if boxes.shape[0] == 0:
         return []
-    boxes, scores, pts = _stage3(img, boxes, nets["onet"], weights, cfg)
+    boxes, scores, pts = _stage3(img, boxes, weights, cfg)
 
     dets = []
     for box, score, lmk in zip(boxes, scores, pts):

@@ -1,4 +1,4 @@
-"""Frame I/O.
+"""Frame I/O, and the line reader of the text inputs.
 
 Native format is binary PPM (P6) with maxval 255.  A "video" is simply
 several P6 images concatenated in one file; the reader reads and yields
@@ -55,7 +55,7 @@ def _read_p6(f):
         raise DataError(f"PPM size {w}x{h} out of range")
     if maxval != 255:
         raise DataError(f"unsupported PPM maxval {maxval}, only 255 is handled")
-    f.seek(1, os.SEEK_CUR)  # exactly one whitespace byte separates the header from the raster
+    f.read(1)  # exactly one whitespace byte separates the header from the raster
     # check the size before allocating, so a forged header cannot claim gigabytes
     need, have = 3 * w * h, os.fstat(f.fileno()).st_size - f.tell()
     if need > have:
@@ -65,6 +65,20 @@ def _read_p6(f):
     if got != need:
         raise DataError(f"PPM raster truncated: need {need} bytes, have {got}")
     return frame
+
+
+def text_lines(path):
+    """Yield (line number, line) of a UTF-8 text file such as a gallery or label file.
+
+    A line that is not valid UTF-8 raises DataError naming path:line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for ln, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")  # undecodable bytes came through as lone surrogates
+            except UnicodeEncodeError:
+                raise DataError(f"{path}:{ln}: not UTF-8 text") from None
+            yield ln, line
 
 
 def iter_frames(path):

@@ -15,6 +15,9 @@ Head outputs:
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
+
 from .errors import ConfigError
 from .nn import Conv2D, FullyConnected, L2Normalize, MaxPool2D, Network, PReLU, Softmax
 
@@ -116,5 +119,7 @@ def embedding_net(input_size=160):
     return Network(p, (3, s, s), trunk, heads)
 
 
+@functools.cache
 def detector_nets():
-    return {"pnet": proposal_net(), "rnet": refine_net(), "onet": output_net()}
+    """The three stage nets, built once: layers own no arrays, so callers share them."""
+    return MappingProxyType({"pnet": proposal_net(), "rnet": refine_net(), "onet": output_net()})

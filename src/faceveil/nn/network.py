@@ -7,10 +7,11 @@ declared input shape; all other networks require an exact match.
 
 Fixed-size networks also take an (N, C, H, W) batch in ``forward``. The
 layers then run in the kernels' batch layout, (C, N, H, W) maps and (F, N)
-vectors, so every convolution is one im2col GEMM; each head comes back
-with the batch axis first. ``batch_block`` is the batch size whose largest
-im2col buffer fits IM2COL_BYTES; callers split longer batches into blocks
-of that size. Training (``forward_train``/``backward``) takes one sample.
+vectors; each head comes back with the batch axis first. ``batch_block``
+is the batch size whose largest im2col buffer fits IM2COL_BYTES, so each
+convolution of a block is one GEMM; callers split longer batches into
+blocks of that size. Training (``forward_train``/``backward``) takes one
+sample.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-
-IM2COL_BYTES = 2 << 20  # float32 im2col buffer of one batched conv, about an L2 cache
+from .ops import IM2COL_BYTES
 
 
 class Network:

@@ -7,11 +7,11 @@ broadcasting; shapes must match exactly.
 
 A batch of N samples adds one axis right after the channels: conv maps
 are (C, N, H, W) and feature vectors are (F, N). With that layout a
-convolution is one im2col GEMM, W (C_out, C_in*kh*kw) @ cols
+convolution is an im2col GEMM, W (C_out, C_in*kh*kw) @ cols
 (C_in*kh*kw, N*oh*ow), whose result is already (C_out, N, oh, ow), and
 PReLU (leading-channel slopes), softmax(axis=0) and max pooling (last two
-axes) need no change. Single samples keep the per-tap arithmetic, which
-training and the gradient checks rely on; the backward kernels take
+axes) need no change. A single sample runs as a batch of one, and the
+conv backward kernel uses the same columns; the backward kernels take
 single samples only.
 """
 
@@ -21,13 +21,27 @@ import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError
 
+IM2COL_BYTES = 2 << 20  # im2col buffer of one conv GEMM, about an L2 cache
+
+
+def _im2col(x, kh, kw, stride, oh, ow):
+    """Columns (C*kh*kw, N*oh*ow) of a padded (C,N,H,W) input, one row per (c, i, j) tap."""
+    c, n = x.shape[:2]
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
 
 def conv2d(x, weight, bias, stride=1, padding=0, layer="conv2d"):
     """Cross-correlate x with weight (C_out,C_in,kh,kw), add bias.
 
     x is one (C_in,H,W) sample or a (C_in,N,H,W) batch; the output keeps
     the input's layout. Zero padding at the borders; each output axis has
-    size floor((n + 2*padding - k) / stride) + 1.
+    size floor((n + 2*padding - k) / stride) + 1. A batch is one GEMM, so
+    callers bound it (Network.batch_block); a single sample's output rows
+    are computed in strips whose im2col columns fit IM2COL_BYTES.
     """
     if x.ndim not in (3, 4) or weight.ndim != 4 or bias.ndim != 1:
         raise ConfigError(
@@ -41,52 +55,42 @@ def conv2d(x, weight, bias, stride=1, padding=0, layer="conv2d"):
         raise ConfigError(f"{layer}: bias has {bias.shape[0]} entries, expected {cout}")
     if stride < 1 or padding < 0:
         raise ConfigError(f"{layer}: stride must be >= 1 and padding >= 0")
+    xb = x if x.ndim == 4 else x[:, None]  # a single sample runs as a batch of one
     if padding:
-        x = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((padding, padding),) * 2)
-    h, w = x.shape[-2:]
+        xb = np.pad(xb, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, h, w = xb.shape[1:]
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"{layer}: kernel {kh}x{kw} does not fit padded input {h}x{w}")
-    if x.ndim == 4:
-        return _conv2d_gemm(x, weight, bias, stride, oh, ow)
-    out = np.zeros((cout, oh, ow), dtype=np.result_type(x, weight))
-    for i in range(kh):
-        for j in range(kw):
-            patch = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            out += np.tensordot(weight[:, :, i, j], patch, axes=(1, 0))
-    out += bias[:, None, None]
-    return out
-
-
-def _conv2d_gemm(x, weight, bias, stride, oh, ow):
-    """im2col of a padded (C_in,N,H,W) batch, then one GEMM -> (C_out,N,oh,ow)."""
-    cout, cin, kh, kw = weight.shape
-    n = x.shape[1]
-    cols = np.empty((cin, kh, kw, n, oh, ow), dtype=np.result_type(x, weight))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    out = weight.reshape(cout, -1) @ cols.reshape(cin * kh * kw, n * oh * ow)
+    wmat = weight.reshape(cout, -1)
+    # each strip is written in place and frees its columns before the next is cut
+    strip = oh if n > 1 else max(1, IM2COL_BYTES // (wmat.shape[1] * ow * xb.itemsize))
+    out = np.empty((cout, n * oh * ow), dtype=np.result_type(xb, weight))
+    for r0 in range(0, oh, strip):
+        rows = min(strip, oh - r0)
+        band = xb[:, :, r0 * stride : (r0 + rows - 1) * stride + kh]
+        np.matmul(wmat, _im2col(band, kh, kw, stride, rows, ow),
+                  out=out[:, r0 * n * ow : (r0 + rows) * n * ow])
+    out += bias[:, None]
     out = out.reshape(cout, n, oh, ow)
-    out += bias[:, None, None, None]
-    return out
+    return out if x.ndim == 4 else out[:, 0]
 
 
 def conv2d_backward(x, weight, dy, stride=1, padding=0):
-    """Gradients of conv2d wrt (input, weight, bias) given upstream dy."""
+    """Gradients of conv2d wrt (input, weight, bias) for one (C_in,H,W) sample."""
     cout, cin, kh, kw = weight.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding))) if padding else x
     oh, ow = dy.shape[1], dy.shape[2]
+    cols = _im2col(xp[:, None], kh, kw, stride, oh, ow)
+    dy2 = dy.reshape(cout, oh * ow)
+    dw = (dy2 @ cols.T).reshape(weight.shape).astype(dy.dtype, copy=False)
+    dcols = (weight.reshape(cout, -1).T @ dy2).reshape(cin, kh, kw, oh, ow)
+    # col2im: every tap adds its columns back onto the input pixels it read
     dxp = np.zeros(xp.shape, dtype=dy.dtype)
-    dw = np.zeros(weight.shape, dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            dw[:, :, i, j] = np.tensordot(dy, patch, axes=((1, 2), (1, 2)))
-            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += np.tensordot(
-                weight[:, :, i, j].T, dy, axes=(1, 0)
-            )
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
     db = dy.sum(axis=(1, 2))
     if padding:
         dxp = dxp[:, padding : xp.shape[1] - padding, padding : xp.shape[2] - padding]

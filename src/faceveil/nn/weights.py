@@ -8,6 +8,7 @@ Convolution weights are stored as (out_channels, in_channels, kh, kw).
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Mapping
 
@@ -139,7 +140,7 @@ def load_weights(path):
         dims = struct.unpack(f"<{rank}I", raw)
         if any(d < 1 for d in dims):
             raise WeightLoadError(f"tensor {name!r} has a zero dimension")
-        n_values = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        n_values = math.prod(dims)  # exact: a forged shape must not wrap around
         raw, off = _take(buf, off, 4 * n_values, f"values of {name!r}")
         if name in tensors:
             raise DuplicateTensorError(f"tensor {name!r} appears twice")

@@ -9,6 +9,7 @@ report stream is byte-identical across runs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,9 +46,8 @@ class Pipeline:
         self.gallery = gallery
         if gallery is None and self.config.policy.labels:
             raise ConfigError("redacting by label requires a gallery to classify against")
-        self.nets = detector_nets()
         self.embedder = embedding_net(self.config.chip_size)
-        for net in self.nets.values():
+        for net in detector_nets().values():
             net.check_weights(weights)
         if gallery is not None:
             self.embedder.check_weights(weights)
@@ -61,7 +61,7 @@ class Pipeline:
         img = to_planar(frame)
 
         t0 = time.perf_counter()
-        dets = detect_faces(img, self.weights, cfg.detector, self.nets)
+        dets = detect_faces(img, self.weights, cfg.detector)
         t1 = time.perf_counter()
         embeddings = []
         if self.gallery is not None:
@@ -198,6 +198,29 @@ def _tally(pairs):
             labels.append(truth)
     roc = compute_roc(scores, labels) if scores else None
     return n, miss, confusion, roc
+
+
+def _finite(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def check_report(report):
+    """A report read back from a file, checked for the fields evaluate_reports reads."""
+    if not isinstance(report, dict):
+        raise DataError("a report must be a JSON object")
+    if not isinstance(report.get("source", ""), str):
+        raise DataError("a report's source must be a string")
+    faces = report.get("faces") or []
+    if not isinstance(faces, list):
+        raise DataError("a report's faces must be a list")
+    for face in faces:
+        if not isinstance(face, dict) or not _finite(face.get("score")):
+            raise DataError("each face needs a finite score")
+        if face.get("margin") is not None and not _finite(face["margin"]):
+            raise DataError("a face's margin must be a finite number or null")
+        if face.get("label") is not None and not isinstance(face["label"], str):
+            raise DataError("a face's label must be a string or null")
+    return report
 
 
 def evaluate_reports(reports, truth):

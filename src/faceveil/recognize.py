@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FaceveilError
+from .imgio import text_lines
 from .models import EMBED_DIM, embedding_net
 
 CHILD = "child"
@@ -52,7 +53,7 @@ def build_gallery(entries, note=""):
         if vec.shape[0] != EMBED_DIM:
             raise DataError(f"entry {i}: expected {EMBED_DIM} values, got {vec.shape[0]}")
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-3:
+        if not abs(norm - 1.0) <= 1e-3:  # also rejects NaN
             raise DataError(f"entry {i}: reference norm {norm:.6f} is not 1")
         labels.append(label)
         rows.append(vec)
@@ -180,20 +181,19 @@ def save_gallery(gallery, path):
 def load_gallery(path):
     entries = []
     note_lines = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                note_lines.append(line[1:].strip())
-                continue
-            parts = line.split(",")
-            if len(parts) != EMBED_DIM + 1:
-                raise DataError(f"{path}:{ln}: expected label + {EMBED_DIM} values")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as e:
-                raise DataError(f"{path}:{ln}: {e}") from None
-            entries.append((parts[0].strip(), vec))
+    for ln, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            note_lines.append(line[1:].strip())
+            continue
+        parts = line.split(",")
+        if len(parts) != EMBED_DIM + 1:
+            raise DataError(f"{path}:{ln}: expected label + {EMBED_DIM} values")
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as e:
+            raise DataError(f"{path}:{ln}: {e}") from None
+        entries.append((parts[0].strip(), vec))
     return build_gallery(entries, note="\n".join(note_lines))

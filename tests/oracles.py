@@ -38,6 +38,30 @@ def conv2d_direct(x, w, b, stride, padding):
     return out
 
 
+def conv2d_backward_direct(x, w, dy, stride, padding):
+    """Gradients of conv2d_direct wrt input, weight and bias, one product at a time."""
+    cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    _, oh, ow = dy.shape
+    padded = np.zeros((cin, h + 2 * padding, wd + 2 * padding), dtype=np.float64)
+    padded[:, padding : padding + h, padding : padding + wd] = x
+    dpadded = np.zeros_like(padded)
+    dw = np.zeros((cout, cin, kh, kw), dtype=np.float64)
+    db = np.zeros(cout, dtype=np.float64)
+    for co in range(cout):
+        for oy in range(oh):
+            for ox in range(ow):
+                g = float(dy[co, oy, ox])
+                db[co] += g
+                for ci in range(cin):
+                    for ky in range(kh):
+                        for kx in range(kw):
+                            py, px = oy * stride + ky, ox * stride + kx
+                            dw[co, ci, ky, kx] += g * float(padded[ci, py, px])
+                            dpadded[ci, py, px] += g * float(w[co, ci, ky, kx])
+    return dpadded[:, padding : padding + h, padding : padding + wd], dw, db
+
+
 def maxpool_direct(x, kernel, stride):
     """Ceil-mode window scan; truncated border windows allowed."""
     c, h, w = x.shape
@@ -197,7 +221,7 @@ def _ppm_frame(buf, off):
     off += 1  # exactly one whitespace byte separates the header from the raster
     end = off + 3 * w * h
     if end > len(buf):
-        raise DataError(f"PPM raster truncated: need {end - off} bytes, have {len(buf) - off}")
+        raise DataError(f"PPM raster truncated: need {end - off} bytes, have {max(0, len(buf) - off)}")
     frame = np.frombuffer(buf[off:end], dtype=np.uint8).reshape(h, w, 3)
     return frame.copy(), end
 

@@ -169,14 +169,13 @@ def test_07_toy_embedder_training(embedder_training):
 def test_08_synthetic_end_to_end(toy_weights, gallery20, probe_portraits):
     with criterion(8, "toy pipeline: 200 probes, accuracy and AUC >= 0.95"):
         frames, truths = probe_portraits
-        nets = detector_nets()
         enet = embedding_net(TOY_CHIP)
         cfg = DetectorConfig()
         correct = 0
         scores, scored_truths = [], []
         for frame, truth in zip(frames, truths):
             img = to_planar(frame)
-            dets = detect_faces(img, toy_weights, cfg, nets)
+            dets = detect_faces(img, toy_weights, cfg)
             if not dets:
                 continue  # an undetected probe counts as an error
             chip = align_crop(img, dets[0].box, TOY_CHIP)

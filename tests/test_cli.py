@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_CHIP, chip_batch
 from faceveil.cli import _given, build_parser, iter_input, load_labels, main, pipeline_config_from
@@ -339,6 +341,43 @@ class TestGalleryEvalFlow:
         assert code == 2
         assert "r.jsonl:2" in err
 
+    @pytest.mark.parametrize("line", [
+        "3",
+        '{"source":"x","faces":[{"label":"child","margin":0.5}]}',
+        '{"source":"x","faces":"x"}',
+    ], ids=["not-an-object", "face-without-score", "faces-not-a-list"])
+    def test_eval_malformed_report_exits_2(self, capsys, tmp_path, line):
+        reports = tmp_path / "r.jsonl"
+        reports.write_text('{"source":"y","faces":[]}\n' + line + "\n")
+        labels = tmp_path / "t.csv"
+        labels.write_text("x,child\ny,adult\n")
+        code, _, err = run_cli(capsys, "eval", "--reports", str(reports), "--labels", str(labels))
+        assert code == 2
+        assert "r.jsonl:2: " in err
+
+    @pytest.mark.parametrize("bad", ["reports", "labels"])
+    def test_eval_non_utf8_exits_2(self, capsys, tmp_path, bad):
+        files = {"reports": tmp_path / "r.jsonl", "labels": tmp_path / "t.csv"}
+        files["reports"].write_bytes(b'{"source":"x","faces":[]}\n')
+        files["labels"].write_bytes(b"x,child\n")
+        files[bad].write_bytes(files[bad].read_bytes() + b"\xff\xfe\n")
+        code, _, err = run_cli(
+            capsys, "eval", "--reports", str(files["reports"]), "--labels", str(files["labels"])
+        )
+        assert code == 2
+        assert f"{files[bad].name}:2: not UTF-8" in err
+
+    def test_run_non_utf8_gallery_exits_2(self, art, capsys, tmp_path):
+        gallery = tmp_path / "g.csv"
+        gallery.write_bytes(Path(art["gallery"]).read_bytes().replace(b"child", b"ch\xefld", 1))
+        code, _, err = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--input", art["stream"], "--out-dir", str(tmp_path / "out"),
+            "--gallery", str(gallery), "--chip-size", str(TOY_CHIP),
+        )
+        assert code == 2
+        assert "g.csv:" in err and "not UTF-8" in err
+
     def test_eval_no_scores_cannot_roc(self, art, capsys, tmp_path):
         reports = tmp_path / "r.jsonl"
         reports.write_text('{"frame":0,"source":"x","faces":[],"redactions":[]}\n')
@@ -377,6 +416,29 @@ class TestLabelsFile:
         path.write_text(body)
         with pytest.raises(DataError):
             load_labels(path)
+
+
+    def test_non_utf8_line_named(self, tmp_path):
+        from faceveil.errors import DataError
+
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"a.ppm,child\n\xe9.ppm,adult\n")
+        with pytest.raises(DataError, match="l.csv:2: not UTF-8"):
+            load_labels(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_random_lines_fail_closed(self, tmp_path_factory, data):
+        from faceveil.errors import FaceveilError
+
+        line = st.one_of(st.binary(max_size=12), st.sampled_from(
+            [b"a.ppm,child", b"b,c.ppm, adult", b"filename,label", b"# c", b"", b",child"]))
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        path.write_bytes(b"\n".join(data.draw(st.lists(line, max_size=5))))
+        try:
+            load_labels(path)
+        except FaceveilError:
+            pass
 
 
 class TestTrainToy:

@@ -332,7 +332,7 @@ class TestRefinementStage:
         nets, weights = rnet_weights
         img = np.random.default_rng(4).uniform(0, 255, size=(3, 40, 40))
         boxes, scores, _, _ = refinement_stage(
-            "rnet", img, [[5, 5, 25, 25]], weights, 2.0, net=nets["rnet"]
+            "rnet", img, [[5, 5, 25, 25]], weights, 2.0
         )
         assert boxes.shape == (0, 4)
 
@@ -341,7 +341,7 @@ class TestRefinementStage:
         img = np.random.default_rng(5).uniform(0, 255, size=(3, 40, 40))
         cands = [[5, 5, 25, 25], [0, 0, 20, 20]]
         boxes, scores, offsets, _ = refinement_stage(
-            "rnet", img, cands, weights, 0.0, net=nets["rnet"]
+            "rnet", img, cands, weights, 0.0
         )
         np.testing.assert_allclose(boxes, cands)  # survivors are pre-refine boxes
         assert np.all((scores >= 0) & (scores <= 1))
@@ -351,7 +351,7 @@ class TestRefinementStage:
         nets, weights = rnet_weights
         img = np.zeros((3, 40, 40))
         boxes, _, _, _ = refinement_stage(
-            "rnet", img, [[-30, -30, -10, -10]], weights, 0.0, net=nets["rnet"]
+            "rnet", img, [[-30, -30, -10, -10]], weights, 0.0
         )
         assert boxes.shape == (0, 4)
 
@@ -359,7 +359,7 @@ class TestRefinementStage:
         nets, weights = rnet_weights
         img = np.random.default_rng(6).uniform(0, 255, size=(3, 60, 60))
         boxes, _, _, pts = refinement_stage(
-            "onet", img, [[10, 10, 40, 40]], weights, 0.0, net=nets["onet"]
+            "onet", img, [[10, 10, 40, 40]], weights, 0.0
         )
         assert pts.shape == (len(boxes), 5, 2)
 
@@ -376,7 +376,7 @@ class TestRefinementStage:
         if n > 1:
             assert n > nets[stage].batch_block  # spans more than one block
         boxes, scores, offsets, pts = refinement_stage(
-            stage, img, cands, toy_weights, 0.0, net=nets[stage]
+            stage, img, cands, toy_weights, 0.0
         )
         np.testing.assert_array_equal(boxes, cands)
         assert scores.shape == (n,) and offsets.shape == (n, 4)

@@ -96,6 +96,12 @@ class TestPpm:
         with pytest.raises(DataError):
             load_ppm(path)
 
+    def test_header_ending_at_end_of_file(self, tmp_path):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(b"P6 1 1 255")  # no separator byte, no raster
+        with pytest.raises(DataError, match="need 3 bytes, have 0$"):
+            load_ppm(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.ppm"
         path.write_bytes(b"")

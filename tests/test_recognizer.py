@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from faceveil.errors import ConfigError, DataError
+from faceveil.errors import ConfigError, DataError, FaceveilError
 from faceveil.recognize import (
     ADULT,
     CHILD,
@@ -59,6 +61,13 @@ class TestBuildGallery:
     def test_non_unit_vector_rejected(self):
         with pytest.raises(DataError):
             build_gallery([(CHILD, np.full(128, 0.5))])
+
+    def test_nan_vector_rejected(self):
+        # a NaN reference sits at distance 0 from every probe, deciding every call
+        vec = np.full(128, 128**-0.5)
+        vec[3] = np.nan
+        with pytest.raises(DataError):
+            build_gallery([(ADULT, vec)])
 
     def test_vectors_for_filters_by_label(self):
         rng = np.random.default_rng(3)
@@ -268,3 +277,31 @@ class TestGalleryFile:
         path.write_text(row + "\n")
         with pytest.raises(DataError):
             load_gallery(path)
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"# note\n# caf\xe9\n")
+        with pytest.raises(DataError, match="g.csv:2: not UTF-8"):
+            load_gallery(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_fails_closed(self, tmp_path_factory, data):
+        # a valid two-entry file, then bytes overwritten or inserted, then cut short
+        g, _, _ = toy_gallery(np.random.default_rng(18), 1, 1, note="n")
+        path = tmp_path_factory.mktemp("gal") / "g.csv"
+        save_gallery(g, path)
+        raw = bytearray(path.read_bytes())
+        for _ in range(data.draw(st.integers(0, 4))):
+            at = data.draw(st.integers(0, len(raw)))
+            piece = data.draw(st.one_of(st.binary(min_size=1, max_size=3), st.sampled_from(
+                [b",", b"\n", b"nan", b"inf", b"-", b"e9", b"child", b"\xff", b"\xc3"])))
+            if data.draw(st.booleans()):
+                raw[at:at + len(piece)] = piece
+            else:
+                raw[at:at] = piece
+        path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
+        try:
+            load_gallery(path)
+        except FaceveilError:
+            pass

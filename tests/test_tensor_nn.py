@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from faceveil.errors import (
@@ -12,6 +14,7 @@ from faceveil.errors import (
     ConfigError,
     DegenerateInputError,
     DuplicateTensorError,
+    FaceveilError,
     TruncatedFileError,
     WeightLoadError,
 )
@@ -30,6 +33,7 @@ from faceveil.nn import (
 from faceveil.nn.network import IM2COL_BYTES
 from faceveil.nn.ops import (
     conv2d,
+    conv2d_backward,
     fully_connected,
     fully_connected_backward,
     l2_normalize,
@@ -77,6 +81,29 @@ class TestConv2d:
                 want = oracles.conv2d_direct(batch[:, n], w, b, stride, padding)
                 assert got[:, n].shape == want.shape
                 np.testing.assert_allclose(got[:, n], want, atol=1e-5)
+
+    def test_strips_past_im2col_budget_against_oracle(self):
+        # 16*3*3 float64 taps per output pixel: 36 of the 50 output rows fit
+        # IM2COL_BYTES, so the map runs as a full strip and a partial one
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(16, 50, 50))
+        w = rng.normal(size=(2, 16, 3, 3))
+        b = rng.normal(size=2)
+        assert 16 * 9 * 50 * 8 * 50 > IM2COL_BYTES > 16 * 9 * 50 * 8 * 36
+        got = conv2d(x, w, b, stride=1, padding=1)
+        np.testing.assert_allclose(got, oracles.conv2d_direct(x, w, b, 1, 1), atol=1e-5)
+
+    def test_backward_against_oracle(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(2, 6, 5))
+        w = rng.normal(size=(3, 2, 3, 3))
+        for stride, padding in [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2)]:
+            dy = rng.normal(size=conv2d(x, w, np.zeros(3), stride, padding).shape)
+            got = conv2d_backward(x, w, dy, stride, padding)
+            want = oracles.conv2d_backward_direct(x, w, dy, stride, padding)
+            for g, o in zip(got, want):
+                assert g.shape == o.shape
+                np.testing.assert_allclose(g, o, rtol=1e-12, atol=1e-12)
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
@@ -424,6 +451,43 @@ class TestMprwFormat:
         path.write_bytes(b"MPRW" + struct.pack("<II", 1, 1) + body)
         with pytest.raises(WeightLoadError):
             load_weights(path)
+
+
+    def test_dimension_product_past_int64(self, tmp_path):
+        # (2**32-1)**2 wraps a signed 64-bit product; the exact size is far past the file
+        body = struct.pack("<H", 1) + b"w" + struct.pack("<B", 2)
+        body += struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(16)
+        path = tmp_path / "huge.mprw"
+        path.write_bytes(b"MPRW" + struct.pack("<II", 1, 1) + body)
+        with pytest.raises(TruncatedFileError):
+            load_weights(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_fails_closed(self, tmp_path_factory, data):
+        # saved tensors plus forged records with small or huge u32 dims, then
+        # a count, bytes overwritten and a cut, each drawn at random
+        path = tmp_path_factory.mktemp("mprw") / "w.mprw"
+        shapes = data.draw(st.lists(st.lists(st.integers(1, 3), max_size=3), max_size=3))
+        save_weights({f"t{i}": np.ones(shape) for i, shape in enumerate(shapes)}, path)
+        raw = bytearray(path.read_bytes())
+        dim = st.one_of(st.integers(0, 4), st.integers(2**31, 2**32 - 1), st.just(2**32 - 1))
+        forged = data.draw(st.lists(st.tuples(
+            st.binary(max_size=3), st.lists(dim, max_size=4),
+            st.binary(max_size=16)), max_size=2))
+        for name, dims, payload in forged:
+            raw += struct.pack("<H", len(name)) + name + struct.pack("<B", len(dims))
+            raw += struct.pack(f"<{len(dims)}I", *dims) + payload
+        count = len(shapes) + len(forged)
+        raw[8:12] = struct.pack("<I", data.draw(st.sampled_from([count, count + 1, max(0, count - 1)])))
+        for _ in range(data.draw(st.integers(0, 3))):
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw[at] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(raw[: data.draw(st.integers(0, len(raw)))]))
+        try:
+            load_weights(path)
+        except FaceveilError:
+            pass
 
 
 class TestLayerApi:
