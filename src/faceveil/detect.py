@@ -210,9 +210,9 @@ def pnet_scan(level, weights, threshold):
     """
     scale, img = level
     net = detector_nets()["pnet"]
-    heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32)))
+    heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32))[None])
     _require_finite(net.name, heads)
-    return scan_proposals(heads["prob"], heads["box"], scale, threshold)
+    return scan_proposals(heads["prob"][0], heads["box"][0], scale, threshold)
 
 
 def _stage1(img, weights, cfg):

@@ -57,14 +57,13 @@ def align_crop(img, box, out_size=CHIP_SIZE, margin=0.0):
     return FaceChip(pixels=pixels, box=(float(x1), float(y1), float(x2), float(y2)))
 
 
-def embed_chip(chip, weights, net=None):
-    """FaceChip -> unit-norm 128-d float32 vector."""
+def embed_chip(chip, weights):
+    """FaceChip -> unit-norm 128-d float32 vector, from the shared embedder for its size."""
     if not isinstance(chip, FaceChip):
         raise ConfigError(f"expected a FaceChip, got {type(chip).__name__}")
     pixels = np.asarray(chip.pixels, dtype=np.float32)
-    if net is None:
-        net = embedding_net(pixels.shape[1])
-    emb = net.forward(weights, pixels)["embedding"].astype(np.float32)
+    net = embedding_net(pixels.shape[1])
+    emb = net.forward(weights, pixels[None])["embedding"][0].astype(np.float32)
     norm = float(np.linalg.norm(emb.astype(np.float64)))
     if not abs(norm - 1.0) <= NORM_TOL:  # also catches a NaN norm
         raise InvariantError(f"embedding norm {norm} drifted from 1")

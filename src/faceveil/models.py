@@ -6,7 +6,7 @@ and a 48x48 output net that also predicts five landmark points.  Pooling
 uses ceil-mode output sizes, which is what makes the flattened sizes
 (576 and 1152) come out.
 
-Head outputs:
+Head outputs per sample (``Network.forward`` puts the batch axis first):
   prob       (2, ...) softmax over {not-face, face}; index 1 is the face score
   box        (4, ...) offsets (dx1, dy1, dx2, dy2) in box-size units
   landmarks  (10,)    five (x, y) pairs, interleaved, in unit box coordinates
@@ -92,11 +92,13 @@ def output_net():
     return Network(p, (3, 48, 48), trunk, heads)
 
 
+@functools.cache
 def embedding_net(input_size=160):
     """Face embedder: aligned chip -> unit-norm 128-d vector.
 
     input_size must be a multiple of 16 so the three pool stages land on
     an integer grid (160 for real chips, 32 for the toy training task).
+    Built once per size; layers own no arrays, so callers share it.
     """
     s = int(input_size)
     if s < 16 or s % 16:

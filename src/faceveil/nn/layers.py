@@ -194,10 +194,10 @@ class Softmax(Layer):
         return in_shape
 
     def forward(self, x, params):
-        return ops.softmax(x, axis=self.axis)
+        return ops.softmax(x, axis=self.axis, layer=self.name)
 
     def forward_train(self, x, params):
-        y = ops.softmax(x, axis=self.axis)
+        y = ops.softmax(x, axis=self.axis, layer=self.name)
         return y, y
 
     def backward(self, ctx, dy, params):
@@ -212,7 +212,7 @@ class L2Normalize(Layer):
         return in_shape
 
     def forward(self, x, params):
-        return ops.l2_normalize(x)
+        return ops.l2_normalize(x, layer=self.name)
 
     def backward(self, ctx, dy, params):
         return ops.l2_normalize_backward(ctx, dy), {}

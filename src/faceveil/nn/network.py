@@ -2,16 +2,17 @@
 
 Forward is a pure function of (weights, input). Backward recomputes the
 forward with a private activation cache, so concurrent callers never share
-state. Fully-convolutional networks accept any spatial size at or above the
-declared input shape; all other networks require an exact match.
+state.
 
-Fixed-size networks also take an (N, C, H, W) batch in ``forward``. The
-layers then run in the kernels' batch layout, (C, N, H, W) maps and (F, N)
-vectors; each head comes back with the batch axis first. ``batch_block``
-is the batch size whose largest im2col buffer fits IM2COL_BYTES, so each
-convolution of a block is one GEMM; callers split longer batches into
-blocks of that size. Training (``forward_train``/``backward``) takes one
-sample.
+Every method takes an (N, C, H, W) batch; a single image is a batch of
+one. The layers run in the kernels' batch layout, (C, N, H, W) maps and
+(F, N) vectors, and each head comes back with the batch axis first;
+``backward`` takes head gradients in that shape and returns parameter
+gradients summed over the batch. Fully-convolutional networks accept any
+spatial size at or above the declared input shape; all other networks
+require an exact match. ``batch_block`` is the batch size whose largest
+im2col buffer fits IM2COL_BYTES, so each convolution of a block is one
+GEMM; callers split longer batches into blocks of that size.
 """
 
 from __future__ import annotations
@@ -92,64 +93,41 @@ class Network:
             params.update(layer.init_params(rng))
         return params
 
-    def _check_input(self, x, batched=False):
+    def _check_input(self, x):
         c, h, w = self.input_shape
-        if batched:
-            if self.fully_convolutional or x.shape[1:] != (c, h, w):
-                raise ConfigError(f"{self.name}: expected an (N,{c},{h},{w}) batch, got {x.shape}")
-            return
-        if x.ndim != 3 or x.shape[0] != c:
-            raise ConfigError(f"{self.name}: expected ({c},H,W) input, got {x.shape}")
         if self.fully_convolutional:
-            if x.shape[1] < h or x.shape[2] < w:
-                raise ConfigError(f"{self.name}: input {x.shape} below minimum ({c},{h},{w})")
-        elif x.shape != (c, h, w):
-            raise ConfigError(f"{self.name}: input {x.shape} does not match ({c},{h},{w})")
+            ok = x.ndim == 4 and x.shape[1] == c and x.shape[2] >= h and x.shape[3] >= w
+            want = f"an (N,{c},H,W) batch with H >= {h}, W >= {w}"
+        else:
+            ok = x.ndim == 4 and x.shape[1:] == (c, h, w)
+            want = f"an (N,{c},{h},{w}) batch"
+        if not ok:
+            raise ConfigError(f"{self.name}: expected {want}, got {x.shape}")
 
     def forward(self, weights, x):
-        """Run all heads; returns {head name: array}.
-
-        x is one (C,H,W) sample or, for a fixed-size net, an (N,C,H,W)
-        batch whose heads come back as (N, ...) arrays.
-        """
-        batched = x.ndim == 4
-        self._check_input(x, batched)
-        if batched:
-            x = x.transpose(1, 0, 2, 3)
-        for layer in self.trunk:
-            x = layer.forward(x, weights)
-        out = {}
-        for head, layers in self.heads.items():
-            y = x
-            for layer in layers:
-                y = layer.forward(y, weights)
-            out[head] = np.moveaxis(y, 1, 0) if batched else y
-        return out
+        """Run all heads on an (N,C,H,W) batch; returns {head name: (N, ...) array}."""
+        return self._run(x, lambda layer, y: (layer.forward(y, weights), None))[0]
 
     def forward_train(self, weights, x):
         """Like forward, but also returns the activation cache for backward."""
+        return self._run(x, lambda layer, y: layer.forward_train(y, weights))
+
+    def _run(self, x, step):
         self._check_input(x)
-        trunk_ctx = []
-        for layer in self.trunk:
-            x, ctx = layer.forward_train(x, weights)
-            trunk_ctx.append(ctx)
-        out = {}
-        head_ctx = {}
+        x, trunk_ctx = _chain(self.trunk, x.transpose(1, 0, 2, 3), step)
+        out, head_ctx = {}, {}
         for head, layers in self.heads.items():
-            y = x
-            ctxs = []
-            for layer in layers:
-                y, ctx = layer.forward_train(y, weights)
-                ctxs.append(ctx)
-            out[head] = y
-            head_ctx[head] = ctxs
+            y, head_ctx[head] = _chain(layers, x, step)
+            out[head] = np.moveaxis(y, 1, 0)
         return out, {"trunk": trunk_ctx, "trunk_out": x, "heads": head_ctx}
 
     def backward(self, weights, cache, head_grads):
         """Chain upstream head gradients back to every parameter.
 
-        Heads absent from head_grads contribute zero. Returns a dict of
-        d(loss)/d(parameter) arrays covering every parameter of the network.
+        head_grads hold one (N, ...) array per head, shaped like the
+        forward's output; heads absent from head_grads contribute zero.
+        Returns a dict of d(loss)/d(parameter) arrays, summed over the
+        batch, covering every parameter of the network.
         """
         grads = {name: np.zeros(shape, dtype=np.float64) for name, shape in self.param_shapes().items()}
         trunk_out = cache["trunk_out"]
@@ -157,22 +135,25 @@ class Network:
         for head, dy in head_grads.items():
             if head not in self.heads:
                 raise ConfigError(f"{self.name}: unknown head {head!r}")
-            layers = self.heads[head]
-            ctxs = cache["heads"][head]
-            d = dy
-            for layer, ctx in zip(reversed(layers), reversed(ctxs)):
-                d, pg = layer.backward(ctx, d, weights)
-                for pname, g in pg.items():
-                    grads[pname] += g
-            d_trunk = d_trunk + d
-        d = d_trunk
-        for layer, ctx in zip(reversed(self.trunk), reversed(cache["trunk"])):
-            d, pg = layer.backward(ctx, d, weights)
-            for pname, g in pg.items():
-                grads[pname] += g
+            d = np.moveaxis(dy, 0, 1)
+            d_trunk = d_trunk + _chain_back(self.heads[head], cache["heads"][head], d, weights, grads)
+        _chain_back(self.trunk, cache["trunk"], d_trunk, weights, grads)
         return {name: g.astype(np.result_type(d_trunk)) for name, g in grads.items()}
 
-    def backward_from_input(self, weights, x, head_grads):
-        """Forward with a private cache, then backward; returns parameter grads."""
-        _, cache = self.forward_train(weights, x)
-        return self.backward(weights, cache, head_grads)
+
+def _chain(layers, x, step):
+    """Run x through layers with step(layer, x) -> (y, ctx); returns (y, contexts)."""
+    ctxs = []
+    for layer in layers:
+        x, ctx = step(layer, x)
+        ctxs.append(ctx)
+    return x, ctxs
+
+
+def _chain_back(layers, ctxs, d, weights, grads):
+    """Backward through layers in reverse, adding parameter gradients into grads."""
+    for layer, ctx in zip(reversed(layers), reversed(ctxs)):
+        d, pg = layer.backward(ctx, d, weights)
+        for pname, g in pg.items():
+            grads[pname] += g
+    return d

@@ -4,6 +4,7 @@ File layout (all integers little-endian): magic "MPRW", u32 version = 1,
 u32 tensor count, then per tensor: u16 name byte-length, UTF-8 name,
 u8 rank, rank x u32 dims, product(dims) x float32 values, row-major.
 Convolution weights are stored as (out_channels, in_channels, kh, kw).
+Every value must be finite: loading a NaN or infinity fails.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def _take(buf, offset, n, what):
 
 
 def load_weights(path):
-    """Read an MPRW file back into a WeightStore."""
+    """Read an MPRW file back into a WeightStore; every value must be finite."""
     with open(path, "rb") as f:
         buf = f.read()
     head, off = _take(buf, 0, 4, "magic")
@@ -144,7 +145,10 @@ def load_weights(path):
         raw, off = _take(buf, off, 4 * n_values, f"values of {name!r}")
         if name in tensors:
             raise DuplicateTensorError(f"tensor {name!r} appears twice")
-        tensors[name] = np.frombuffer(raw, dtype=_F32LE).astype(np.float32).reshape(dims)
+        values = np.frombuffer(raw, dtype=_F32LE).astype(np.float32).reshape(dims)
+        if not np.isfinite(values).all():  # fail closed before any frame reaches the net
+            raise WeightLoadError(f"tensor {name!r} holds a non-finite value")
+        tensors[name] = values
     if off != len(buf):
         raise WeightLoadError(f"{len(buf) - off} trailing bytes after last tensor")
     return WeightStore(tensors)

@@ -67,7 +67,7 @@ class Pipeline:
         if self.gallery is not None:
             for det in dets:
                 chip = align_crop(img, det.box, cfg.chip_size)
-                embeddings.append(embed_chip(chip, self.weights, self.embedder))
+                embeddings.append(embed_chip(chip, self.weights))
         t2 = time.perf_counter()
         results = [classify(e, self.gallery, cfg.threshold) for e in embeddings]
         t3 = time.perf_counter()
@@ -260,8 +260,7 @@ def evaluate_chips(chips, labels, weights, gallery, chip_size=160, threshold=0.0
     Chips carry raw 0..255 values, either planar (3, S, S) or as an
     (S, S, 3) uint8 frame.
     """
-    net = embedding_net(chip_size)
-    net.check_weights(weights)
+    embedding_net(chip_size).check_weights(weights)
     labels = list(labels)
 
     def pairs():
@@ -269,7 +268,7 @@ def evaluate_chips(chips, labels, weights, gallery, chip_size=160, threshold=0.0
             arr = np.asarray(chip)
             planar = arr if arr.ndim == 3 and arr.shape[0] == 3 else to_planar(arr)
             pix = normalize_pixels(planar)
-            emb = embed_chip(FaceChip(pix, (0, 0, pix.shape[2], pix.shape[1])), weights, net)
+            emb = embed_chip(FaceChip(pix, (0, 0, pix.shape[2], pix.shape[1])), weights)
             d = classify(emb, gallery, threshold)
             yield truth, d.label, d.margin
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, FaceveilError
 from .imgio import text_lines
-from .models import EMBED_DIM, embedding_net
+from .models import EMBED_DIM
 
 CHILD = "child"
 ADULT = "adult"
@@ -63,7 +63,7 @@ def build_gallery(entries, note=""):
     return Gallery(tuple(labels), vectors, note=note)
 
 
-def gallery_build(chips, labels, weights, net=None, note=""):
+def gallery_build(chips, labels, weights, note=""):
     """Embed labeled face chips into a Gallery, tolerating bad samples.
 
     Returns (gallery, failures) where failures is a list of
@@ -77,12 +77,10 @@ def gallery_build(chips, labels, weights, net=None, note=""):
     labels = list(labels)
     if len(chips) != len(labels):
         raise ConfigError(f"{len(chips)} chips vs {len(labels)} labels")
-    if net is None and chips:
-        net = embedding_net(np.asarray(chips[0].pixels).shape[1])
     entries, failures = [], []
     for i, (chip, label) in enumerate(zip(chips, labels)):
         try:
-            entries.append((label, embed_chip(chip, weights, net=net)))
+            entries.append((label, embed_chip(chip, weights)))
         except FaceveilError as e:
             failures.append((i, str(e)))
     built = note or f"built from {len(entries)} of {len(chips)} chips"

@@ -80,80 +80,76 @@ def write_metrics(history, path):
             f.write(f"{epoch},{loss:.9g},{acc:.9g}\n")
 
 
-def multitask_loss(heads, sample, config):
-    """Weighted per-sample loss for one cascade stage.
+def multitask_loss(heads, batch, config):
+    """Weighted multitask loss of one cascade stage over a minibatch.
 
-    Returns (total, head_grads, parts).  Background patches contribute
-    only the classification term; landmark supervision applies only when
-    the sample carries a landmark target.
+    heads are the (N, ...) outputs of a forward over the batch's samples.
+    Returns (total, head_grads, parts), each the sum of the per-sample
+    terms.  Background patches contribute only the classification term;
+    landmark supervision applies only to faces that carry a landmark
+    target.
     """
-    prob = np.asarray(heads["prob"], dtype=np.float64).reshape(2, -1)[:, 0]
-    ce, dp = cross_entropy_loss(prob[1], float(sample.label))
-    g_prob = np.zeros_like(np.asarray(heads["prob"], dtype=np.float64))
-    g_prob.reshape(2, -1)[1, 0] = config.det_weight * dp[0]
-    total = config.det_weight * ce
-    parts = {"det": ce}
+    n = len(batch)
+    labels = np.array([s.label for s in batch], dtype=np.float64)
+    prob = np.asarray(heads["prob"], dtype=np.float64)
+    ce, dp = cross_entropy_loss(prob.reshape(n, 2, -1)[:, 1, 0], labels)
+    g_prob = np.zeros_like(prob)
+    g_prob.reshape(n, 2, -1)[:, 1, 0] = config.det_weight * n * dp
+    total = config.det_weight * n * ce
+    parts = {"det": n * ce}
     head_grads = {"prob": g_prob}
-
-    if sample.label == 1:
-        bl, dbox = box_loss(heads["box"].reshape(4), sample.box_target)
-        total += config.box_weight * bl
-        parts["box"] = bl
-        head_grads["box"] = (config.box_weight * dbox).reshape(np.asarray(heads["box"]).shape)
-        if sample.lmk_target is not None and "landmarks" in heads:
-            ll, dlmk = landmark_loss(heads["landmarks"].reshape(10), sample.lmk_target)
-            total += config.lmk_weight * ll
-            parts["lmk"] = ll
-            head_grads["landmarks"] = (config.lmk_weight * dlmk).reshape(
-                np.asarray(heads["landmarks"]).shape
-            )
+    face = labels == 1
+    lmk = face & np.array([s.lmk_target is not None for s in batch])
+    for head, part, target, mask, weight, loss_fn in (
+        ("box", "box", "box_target", face, config.box_weight, box_loss),
+        ("landmarks", "lmk", "lmk_target", lmk, config.lmk_weight, landmark_loss),
+    ):
+        k = int(np.count_nonzero(mask))
+        if not k or head not in heads:
+            continue
+        pred = np.asarray(heads[head], dtype=np.float64).reshape(n, -1)
+        targets = np.array([getattr(batch[i], target) for i in np.flatnonzero(mask)])
+        loss, grad = loss_fn(pred[mask], targets)
+        total += weight * k * loss
+        parts[part] = k * loss
+        g = np.zeros_like(pred)
+        g[mask] = weight * k * grad
+        head_grads[head] = g.reshape(np.shape(heads[head]))
     return total, head_grads, parts
 
 
-def _sgd_step(weights, grad_sums, scale, lr, clip_norm=0.0):
+def _sgd_step(weights, grads, scale, lr, clip_norm=0.0):
+    """One SGD update from batch-summed gradients, scaled by scale and capped in norm."""
     if clip_norm:
-        sq = sum(float(np.sum((scale * g) ** 2)) for g in grad_sums.values())
+        sq = sum(float(np.sum((scale * g) ** 2)) for g in grads.values())
         norm = np.sqrt(sq)
         if norm > clip_norm:
             scale *= clip_norm / norm
-    updated = {}
-    for name in weights:
-        w = weights[name]
-        g = grad_sums.get(name)
-        if g is None:
-            updated[name] = w
-        else:
-            updated[name] = (w.astype(np.float64) - lr * scale * g).astype(np.float32)
-    return WeightStore(updated)
+    return WeightStore({name: (w.astype(np.float64) - lr * scale * grads[name]).astype(np.float32)
+                        for name, w in weights.items()})
 
 
 def _train_stage(stage, net, config, rng, history):
     weights = net.init_weights(rng)
     size = STAGE_SIZES[stage]
     data = make_det_batch(rng, size, config.n_train, with_landmarks=(stage == "onet"))
+    pixels = np.stack([normalize_pixels(sample.image) for sample in data])
+    labels = np.array([sample.label for sample in data])
     order = np.arange(len(data))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         epoch_loss, n_correct = 0.0, 0
         for start in range(0, len(order), config.batch_size):
-            batch = [data[i] for i in order[start : start + config.batch_size]]
-            grad_sums: dict = {}
-            for sample in batch:
-                x = normalize_pixels(sample.image)
-                heads, cache = net.forward_train(weights, x)
-                total, head_grads, _ = multitask_loss(heads, sample, config)
-                if not np.isfinite(total):
-                    raise TrainingDiverged(f"{stage}: loss became {total} in epoch {epoch}")
-                epoch_loss += total
-                p_face = float(np.asarray(heads["prob"]).reshape(2, -1)[1, 0])
-                n_correct += int((p_face > 0.5) == bool(sample.label))
-                for name, g in net.backward(weights, cache, head_grads).items():
-                    if name in grad_sums:
-                        grad_sums[name] += g
-                    else:
-                        grad_sums[name] = np.array(g, dtype=np.float64)
-            weights = _sgd_step(weights, grad_sums, 1.0 / len(batch), config.learning_rate,
-                                config.clip_norm)
+            idx = order[start : start + config.batch_size]
+            heads, cache = net.forward_train(weights, pixels[idx])
+            total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx], config)
+            if not np.isfinite(total):
+                raise TrainingDiverged(f"{stage}: loss became {total} in epoch {epoch}")
+            epoch_loss += total
+            p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
+            n_correct += int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
+            weights = _sgd_step(weights, net.backward(weights, cache, head_grads),
+                                1.0 / len(idx), config.learning_rate, config.clip_norm)
         history.append((stage, epoch, epoch_loss / len(data), n_correct / len(data)))
     return weights
 
@@ -172,7 +168,7 @@ def _train_embedder(config):
     net = embedding_net(config.chip_size)
     weights = net.init_weights(rng)
     labels = np.array([CHILD if i % 2 == 0 else ADULT for i in range(config.n_train)])
-    chips = [make_face_chip(rng, lb, config.chip_size) for lb in labels]
+    pixels = np.stack([normalize_pixels(make_face_chip(rng, lb, config.chip_size)) for lb in labels])
     order = np.arange(config.n_train)
     history: list = []
     for epoch in range(1, config.epochs + 1):
@@ -180,12 +176,8 @@ def _train_embedder(config):
         loss_total, n_sat, n_trip = 0.0, 0, 0
         for start in range(0, config.n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
-            embs, caches = [], []
-            for i in idx:
-                heads, cache = net.forward_train(weights, normalize_pixels(chips[i]))
-                embs.append(np.asarray(heads["embedding"], dtype=np.float64))
-                caches.append(cache)
-            embs = np.asarray(embs)
+            heads, cache = net.forward_train(weights, pixels[idx])
+            embs = np.asarray(heads["embedding"], dtype=np.float64)
             triplets = select_triplets(embs, labels[idx])
             if not triplets:
                 continue
@@ -202,17 +194,8 @@ def _train_embedder(config):
             np.add.at(emb_grads, ta, da)
             np.add.at(emb_grads, tp, dp)
             np.add.at(emb_grads, tn, dn)
-            grad_sums: dict = {}
-            for j in range(len(idx)):
-                if not emb_grads[j].any():
-                    continue
-                g = net.backward(weights, caches[j], {"embedding": emb_grads[j]})
-                for name, val in g.items():
-                    if name in grad_sums:
-                        grad_sums[name] += val
-                    else:
-                        grad_sums[name] = np.array(val, dtype=np.float64)
-            weights = _sgd_step(weights, grad_sums, 1.0 / len(triplets), config.learning_rate,
+            grads = net.backward(weights, cache, {"embedding": emb_grads})
+            weights = _sgd_step(weights, grads, 1.0 / len(triplets), config.learning_rate,
                                 config.clip_norm)
         sat = n_sat / n_trip if n_trip else 1.0
         history.append(("embed", epoch, loss_total / max(1, n_trip), sat))
@@ -240,9 +223,10 @@ def train_toy(config=None, weights_path=None, metrics_path=None):
 def network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=4, step=1e-3, seed=0):
     """Compare analytic parameter gradients against central differences.
 
-    loss_on_heads maps the head dict to (loss, head_grads).  Checks up to
-    coords_per_tensor randomly chosen coordinates in every parameter
-    tensor and returns the worst relative error.
+    x is an (N,C,H,W) batch and loss_on_heads maps the (N, ...) head
+    dict to (loss, head_grads).  Checks up to coords_per_tensor randomly
+    chosen coordinates in every parameter tensor and returns the worst
+    relative error.
     """
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=np.float64)
@@ -309,18 +293,18 @@ def layer_grad_check(layer, x, seed=0, step=1e-3):
 
 
 def _kink_free_inputs(rng):
-    """Per-layer-type seeded inputs that keep a 1e-3 step differentiable."""
+    """Per-layer-type seeded batches of 2 that keep a 1e-3 step differentiable."""
     from .nn import Conv2D, FullyConnected, L2Normalize, MaxPool2D, PReLU, Softmax
 
-    away = rng.uniform(0.2, 1.5, size=(4, 5, 5)) * rng.choice([-1.0, 1.0], size=(4, 5, 5))
-    distinct = rng.permutation(4 * 6 * 6).reshape(4, 6, 6) * 0.05
+    away = rng.uniform(0.2, 1.5, size=(4, 2, 5, 5)) * rng.choice([-1.0, 1.0], size=(4, 2, 5, 5))
+    distinct = rng.permutation(4 * 2 * 6 * 6).reshape(4, 2, 6, 6) * 0.05
     return [
-        ("conv2d", Conv2D("c", 3, 4, 3, padding=1), rng.normal(size=(3, 6, 6))),
-        ("fully_connected", FullyConnected("fc", 4 * 5 * 5, 7), rng.normal(size=(4, 5, 5))),
+        ("conv2d", Conv2D("c", 3, 4, 3, padding=1), rng.normal(size=(3, 2, 6, 6))),
+        ("fully_connected", FullyConnected("fc", 4 * 5 * 5, 7), rng.normal(size=(4, 2, 5, 5))),
         ("prelu", PReLU("act", 4), away),
         ("maxpool", MaxPool2D(2, 2), distinct),
-        ("softmax", Softmax(axis=0), rng.normal(size=(3, 2, 2))),
-        ("l2_normalize", L2Normalize(), rng.normal(size=17) + 0.1),
+        ("softmax", Softmax(axis=0), rng.normal(size=(3, 2, 2, 2))),
+        ("l2_normalize", L2Normalize(), rng.normal(size=(17, 2)) + 0.1),
     ]
 
 

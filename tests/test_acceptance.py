@@ -52,7 +52,7 @@ def test_01_kernel_oracles():
             x = rng.normal(size=(cin, h, w))
             wt = rng.normal(size=(cout, cin, k, k))
             b = rng.normal(size=cout)
-            got = conv2d(x, wt, b, stride=stride, padding=pad)
+            got = conv2d(x[:, None], wt, b, stride=stride, padding=pad)[:, 0]
             ref = conv2d_direct(x, wt, b, stride, pad)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-5
@@ -62,7 +62,7 @@ def test_01_kernel_oracles():
             stride = int(rng.integers(1, kernel + 1))  # stride > kernel would skip pixels
             h, w = int(rng.integers(kernel, 13)), int(rng.integers(kernel, 13))
             x = rng.normal(size=(c, h, w))
-            np.testing.assert_array_equal(maxpool2d(x, kernel, stride),
+            np.testing.assert_array_equal(maxpool2d(x[:, None], kernel, stride)[:, 0],
                                           maxpool_direct(x, kernel, stride))
         assert time.perf_counter() - start < 30.0
 
@@ -106,7 +106,7 @@ def test_04_embedding_norm():
             weights = net.init_weights(np.random.default_rng(i))
             raw = rng.uniform(0.0, 255.0, size=(3, 16, 16))
             chip = FaceChip(normalize_pixels(raw), (0, 0, 16, 16))
-            emb = embed_chip(chip, weights, net)
+            emb = embed_chip(chip, weights)
             assert abs(float(np.linalg.norm(emb.astype(np.float64))) - 1.0) <= 1e-6
 
 
@@ -118,13 +118,13 @@ def test_05_pnet_dense_scan_consistency():
             x = np.random.default_rng(seed + 50).uniform(-1, 1, size=(3, 24, 24)).astype(
                 np.float32
             )
-            dense = net.forward(weights, x)
+            dense = {h: y[0] for h, y in net.forward(weights, x[None]).items()}
             assert dense["prob"].shape == (2, 7, 7)
             assert dense["box"].shape == (4, 7, 7)
             for i in range(7):
                 for j in range(7):
                     window = x[:, 2 * i : 2 * i + 12, 2 * j : 2 * j + 12]
-                    one = net.forward(weights, window)
+                    one = {h: y[0] for h, y in net.forward(weights, window[None]).items()}
                     assert np.max(np.abs(one["prob"][:, 0, 0] - dense["prob"][:, i, j])) <= 1e-5
                     assert np.max(np.abs(one["box"][:, 0, 0] - dense["box"][:, i, j])) <= 1e-5
 
@@ -147,11 +147,10 @@ def test_07_toy_embedder_training(embedder_training):
         cfg = embedder_training["config"]
         assert cfg.seed == 42 and cfg == TrainerConfig(task="embedder")
         assert embedder_training["seconds"] < 120.0
-        net = embedding_net(TOY_CHIP)
         raw, labels = chip_batch(seed=1234, n=80)
         emb = np.stack([
             embed_chip(FaceChip(normalize_pixels(c), (0, 0, TOY_CHIP, TOY_CHIP)),
-                       embedder_training["result"].weights, net)
+                       embedder_training["result"].weights)
             for c in raw
         ]).astype(np.float64)
         same = np.array([lb == "child" for lb in labels])
@@ -169,7 +168,6 @@ def test_07_toy_embedder_training(embedder_training):
 def test_08_synthetic_end_to_end(toy_weights, gallery20, probe_portraits):
     with criterion(8, "toy pipeline: 200 probes, accuracy and AUC >= 0.95"):
         frames, truths = probe_portraits
-        enet = embedding_net(TOY_CHIP)
         cfg = DetectorConfig()
         correct = 0
         scores, scored_truths = [], []
@@ -179,7 +177,7 @@ def test_08_synthetic_end_to_end(toy_weights, gallery20, probe_portraits):
             if not dets:
                 continue  # an undetected probe counts as an error
             chip = align_crop(img, dets[0].box, TOY_CHIP)
-            result = classify(embed_chip(chip, toy_weights, enet), gallery20)
+            result = classify(embed_chip(chip, toy_weights), gallery20)
             correct += int(result.label == truth)
             scores.append(result.margin)
             scored_truths.append(truth)

@@ -230,7 +230,7 @@ class TestRun:
         assert texts[0] == texts[1]
         assert b"timing_ms" not in texts[0]
 
-    def test_non_finite_weights_exit_3(self, art, capsys, tmp_path):
+    def test_non_finite_weights_exit_2(self, art, capsys, tmp_path):
         weights = dict(load_weights(art["det_w"]))
         weights["rnet.fc1.w"] = weights["rnet.fc1.w"].copy()
         weights["rnet.fc1.w"].flat[0] = np.nan
@@ -241,8 +241,8 @@ class TestRun:
             "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
             "--input", art["stream"], "--out-dir", str(tmp_path / "o"),
         )
-        assert code == 3
-        assert "non-finite" in err
+        assert code == 2  # rejected at load, before any frame is read
+        assert "rnet.fc1.w" in err and "non-finite" in err
 
     def test_protect_child_needs_gallery(self, art, capsys, tmp_path):
         code, _, err = run_cli(

@@ -382,7 +382,7 @@ class TestRefinementStage:
         assert scores.shape == (n,) and offsets.shape == (n, 4)
         for i, box in enumerate(cands):
             chip = normalize_pixels(crop_resize(img, box, size))
-            heads = nets[stage].forward(toy_weights, chip)
+            heads = {h: y[0] for h, y in nets[stage].forward(toy_weights, chip[None]).items()}
             assert abs(scores[i] - heads["prob"][1]) <= 1e-5
             np.testing.assert_allclose(offsets[i], heads["box"], rtol=0, atol=1e-4)
             if stage == "onet":

@@ -82,59 +82,63 @@ def small_net():
 
 class TestEmbedChip:
     def test_requires_facechip(self, small_net):
-        net, weights = small_net
+        _, weights = small_net
         with pytest.raises(ConfigError):
-            embed_chip(np.zeros((3, 32, 32), dtype=np.float32), weights, net=net)
+            embed_chip(np.zeros((3, 32, 32), dtype=np.float32), weights)
 
     def test_unit_norm_float32_128d(self, small_net):
-        net, weights = small_net
+        _, weights = small_net
         rng = np.random.default_rng(41)
         chip = FaceChip(normalize_pixels(make_face_chip(rng, "child", 32)), (0, 0, 32, 32))
-        emb = embed_chip(chip, weights, net=net)
+        emb = embed_chip(chip, weights)
         assert emb.shape == (128,)
         assert emb.dtype == np.float32
         assert abs(float(np.linalg.norm(emb.astype(np.float64))) - 1.0) <= 1e-6
 
     def test_deterministic(self, small_net):
-        net, weights = small_net
+        _, weights = small_net
         rng = np.random.default_rng(42)
         chip = FaceChip(normalize_pixels(make_face_chip(rng, "adult", 32)), (0, 0, 32, 32))
         np.testing.assert_array_equal(
-            embed_chip(chip, weights, net=net), embed_chip(chip, weights, net=net)
+            embed_chip(chip, weights), embed_chip(chip, weights)
         )
 
     def test_zero_weights_degenerate_embedding(self, small_net):
-        net, weights = small_net
+        _, weights = small_net
         dead = {name: np.zeros_like(w) for name, w in weights.items()}
         chip = FaceChip(np.zeros((3, 32, 32), dtype=np.float32), (0, 0, 32, 32))
         with pytest.raises(DegenerateInputError):
-            embed_chip(chip, dead, net=net)
+            embed_chip(chip, dead)
 
     def test_nan_chip_fails_closed(self, small_net):
-        net, weights = small_net
+        _, weights = small_net
         pixels = np.zeros((3, 32, 32), dtype=np.float32)
         pixels[0, 5, 5] = np.nan
         with pytest.raises(InvariantError):
-            embed_chip(FaceChip(pixels, (0, 0, 32, 32)), weights, net=net)
+            embed_chip(FaceChip(pixels, (0, 0, 32, 32)), weights)
 
     def test_distance_identity_on_unit_vectors(self, small_net):
         # squared distance between unit vectors is 2 - 2 dot
-        net, weights = small_net
+        _, weights = small_net
         rng = np.random.default_rng(43)
         chips = [
             FaceChip(normalize_pixels(make_face_chip(rng, lb, 32)), (0, 0, 32, 32))
             for lb in ("child", "adult")
         ]
-        a, b = (embed_chip(c, weights, net=net).astype(np.float64) for c in chips)
+        a, b = (embed_chip(c, weights).astype(np.float64) for c in chips)
         d2 = float(np.sum((a - b) ** 2))
         na, nb = float(a @ a), float(b @ b)
         assert d2 == pytest.approx(na + nb - 2.0 * float(a @ b), abs=1e-12)
         # with both norms pinned to 1 the practical form holds to float32 accuracy
         assert d2 == pytest.approx(2.0 - 2.0 * float(a @ b), abs=1e-5)
 
+    def test_embedder_built_once_per_size(self):
+        assert embedding_net(32) is embedding_net(32)
+        assert embedding_net(32) is not embedding_net(48)
+
     def test_infer_net_from_chip_size(self, small_net):
         _, weights = small_net
         rng = np.random.default_rng(44)
         chip = FaceChip(normalize_pixels(make_face_chip(rng, "child", 32)), (0, 0, 32, 32))
-        emb = embed_chip(chip, weights)  # net built from pixels.shape
+        emb = embed_chip(chip, weights)  # shared net for pixels.shape
         assert emb.shape == (128,)

@@ -44,16 +44,16 @@ class TestTrainerConfig:
 
 class TestMultitaskLoss:
     def _heads(self, p_face, box, lmk=None):
-        prob = np.array([1.0 - p_face, p_face]).reshape(2, 1, 1)
-        heads = {"prob": prob, "box": np.asarray(box, dtype=float).reshape(4, 1, 1)}
+        prob = np.array([1.0 - p_face, p_face]).reshape(1, 2, 1, 1)
+        heads = {"prob": prob, "box": np.asarray(box, dtype=float).reshape(1, 4, 1, 1)}
         if lmk is not None:
-            heads["landmarks"] = np.asarray(lmk, dtype=float).reshape(10, 1, 1)
+            heads["landmarks"] = np.asarray(lmk, dtype=float).reshape(1, 10)
         return heads
 
     def test_background_is_classification_only(self):
         cfg = TrainerConfig()
         sample = DetSample(np.zeros((3, 12, 12), np.float32), 0, np.zeros(4), None)
-        total, grads, parts = multitask_loss(self._heads(0.5, [9, 9, 9, 9]), sample, cfg)
+        total, grads, parts = multitask_loss(self._heads(0.5, [9, 9, 9, 9]), [sample], cfg)
         assert set(parts) == {"det"}
         assert total == pytest.approx(np.log(2.0))
         assert set(grads) == {"prob"}
@@ -61,7 +61,7 @@ class TestMultitaskLoss:
     def test_face_adds_weighted_box_term(self):
         cfg = TrainerConfig(det_weight=1.0, box_weight=0.5)
         sample = DetSample(np.zeros((3, 12, 12), np.float32), 1, np.zeros(4), None)
-        total, grads, parts = multitask_loss(self._heads(0.5, [0.1, 0, 0, 0]), sample, cfg)
+        total, grads, parts = multitask_loss(self._heads(0.5, [0.1, 0, 0, 0]), [sample], cfg)
         assert parts["det"] == pytest.approx(np.log(2.0))
         assert parts["box"] == pytest.approx(0.01)
         assert total == pytest.approx(np.log(2.0) + 0.5 * 0.01)
@@ -72,19 +72,50 @@ class TestMultitaskLoss:
         lmk_target = np.full(10, 0.5)
         sample = DetSample(np.zeros((3, 48, 48), np.float32), 1, np.zeros(4), lmk_target)
         heads = self._heads(0.5, np.zeros(4), lmk=np.full(10, 0.6))
-        total, grads, parts = multitask_loss(heads, sample, cfg)
+        total, grads, parts = multitask_loss(heads, [sample], cfg)
         assert parts["lmk"] == pytest.approx(10 * 0.01)
         assert "landmarks" in grads
         # same heads, no landmark target: term disappears
         bare = DetSample(np.zeros((3, 48, 48), np.float32), 1, np.zeros(4), None)
-        _, _, parts2 = multitask_loss(heads, bare, cfg)
+        _, _, parts2 = multitask_loss(heads, [bare], cfg)
         assert "lmk" not in parts2
 
     def test_zero_weights_zero_total(self):
         cfg = TrainerConfig(det_weight=0.0, box_weight=0.0, lmk_weight=0.0)
         sample = DetSample(np.zeros((3, 12, 12), np.float32), 1, np.ones(4), None)
-        total, _, _ = multitask_loss(self._heads(0.3, [1, 1, 1, 1]), sample, cfg)
+        total, _, _ = multitask_loss(self._heads(0.3, [1, 1, 1, 1]), [sample], cfg)
         assert total == 0.0
+
+    def test_mixed_batch_sums_per_sample_losses(self):
+        # face with landmarks, background, face without landmarks: the batch's
+        # total, parts and head gradients are the per-sample ones stacked
+        cfg = TrainerConfig(det_weight=1.0, box_weight=0.5, lmk_weight=2.0)
+        rng = np.random.default_rng(20)
+        img = np.zeros((3, 48, 48), np.float32)
+        batch = [
+            DetSample(img, 1, rng.normal(size=4), rng.uniform(size=10)),
+            DetSample(img, 0, np.zeros(4), None),
+            DetSample(img, 1, rng.normal(size=4), None),
+        ]
+        p_face = rng.uniform(0.1, 0.9, size=3)
+        heads = {
+            "prob": np.stack([1.0 - p_face, p_face], axis=1),
+            "box": rng.normal(size=(3, 4)),
+            "landmarks": rng.uniform(size=(3, 10)),
+        }
+        total, grads, parts = multitask_loss(heads, batch, cfg)
+        one = [multitask_loss({h: y[i : i + 1] for h, y in heads.items()}, [s], cfg)
+               for i, s in enumerate(batch)]
+        assert total == pytest.approx(sum(t for t, _, _ in one), rel=1e-12)
+        assert parts["det"] == pytest.approx(sum(p["det"] for _, _, p in one), rel=1e-12)
+        assert parts["box"] == pytest.approx(one[0][2]["box"] + one[2][2]["box"], rel=1e-12)
+        assert parts["lmk"] == pytest.approx(one[0][2]["lmk"], rel=1e-12)
+        assert set(grads) == {"prob", "box", "landmarks"}
+        for head, g in grads.items():
+            assert g.shape == heads[head].shape
+            for i, (_, gi, _) in enumerate(one):
+                want = gi.get(head, np.zeros((1,) + g.shape[1:]))
+                np.testing.assert_allclose(g[i : i + 1], want, rtol=1e-12, atol=1e-15)
 
 
 class TestTrainToy:
@@ -183,15 +214,15 @@ class TestGradChecks:
 
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(50))
-        x = np.random.default_rng(51).uniform(-0.9, 0.9, size=(3, 12, 12))
+        x = np.random.default_rng(51).uniform(-0.9, 0.9, size=(2, 3, 12, 12))
 
         def loss_on_heads(heads):
-            p = heads["prob"].reshape(2, -1)[1, 0]
+            p = heads["prob"].reshape(2, 2, -1)[:, 1, 0]
             from faceveil.losses import cross_entropy_loss
 
-            loss, dp = cross_entropy_loss(p, 1.0)
+            loss, dp = cross_entropy_loss(p, np.array([1.0, 0.0]))
             g = np.zeros_like(heads["prob"])
-            g.reshape(2, -1)[1, 0] = dp[0]
+            g.reshape(2, 2, -1)[:, 1, 0] = dp
             return loss, {"prob": g}
 
         err = network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=2, seed=52)
