@@ -27,13 +27,18 @@ class Pixelate:
             raise ConfigError(f"pixelate block must be >= 1, got {self.block}")
 
 
+# The separable kernel has 2 * ceil(3 * sigma) + 1 taps, so the cost grows
+# with sigma; at the bound its 601 taps already span a whole VGA face box.
+MAX_BLUR_SIGMA = 100.0
+
+
 @dataclass(frozen=True)
 class Blur:
     sigma: float = 2.5
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ConfigError(f"blur sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma <= MAX_BLUR_SIGMA:  # also rejects NaN and infinity
+            raise ConfigError(f"blur sigma must be in (0, {MAX_BLUR_SIGMA:g}], got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class RedactionPolicy:
         bad = self.labels - {"child", "adult"}
         if bad:
             raise ConfigError(f"unknown redaction labels {sorted(bad)}")
-        if self.box_expansion < 0:
-            raise ConfigError(f"box expansion must be >= 0, got {self.box_expansion}")
+        if not 0 <= self.box_expansion < math.inf:  # also rejects NaN
+            raise ConfigError(f"box expansion must be finite and >= 0, got {self.box_expansion}")
 
 
 def parse_method(text):
@@ -190,11 +195,9 @@ def _scramble_region(region, key, inverse=False):
 
 
 def _clip_box(box, height, width):
-    x1 = max(0, int(math.floor(box[0])))
-    y1 = max(0, int(math.floor(box[1])))
-    x2 = min(width, int(math.ceil(box[2])))
-    y2 = min(height, int(math.ceil(box[3])))
-    return x1, y1, x2, y2
+    # clamp before int(): an edge grown to +-inf covers the frame up to its border
+    x1, y1, x2, y2 = (min(max(float(v), 0.0), side) for v, side in zip(box, (width, height) * 2))
+    return math.floor(x1), math.floor(y1), math.ceil(x2), math.ceil(y2)
 
 
 def denature_regions(frame, boxes, method):

@@ -242,23 +242,21 @@ def _require_finite(net_name, heads):
             raise InvariantError(f"{net_name}: non-finite {head!r} output; check the weights")
 
 
-def _forward_blocks(net, weights, img, boxes, size):
-    """Crop and run a fixed-size net over boxes, ``net.batch_block`` at a time.
+def _forward_blocks(net, weights, img, boxes):
+    """Crop boxes to a fixed-size net's input and run it, ``net.batch_block`` at a time.
 
     Each block is cut in one gather and run in one forward, which keeps
     the crops, like the im2col buffers, bounded by the block size.
     Returns each head with one row per box.
     """
+    _, size_h, size_w = net.input_shape
     parts = []
     for start in range(0, boxes.shape[0], net.batch_block):
-        crops = crop_resize_batch(img, boxes[start : start + net.batch_block], size)
+        crops = crop_resize_batch(img, boxes[start : start + net.batch_block], size_h, size_w)
         heads = net.forward(weights, normalize_pixels(crops).transpose(1, 0, 2, 3))
         _require_finite(net.name, heads)
         parts.append(heads)
     return {head: np.concatenate([p[head] for p in parts]) for head in parts[0]}
-
-
-_STAGE_SIZES = {"rnet": 24, "onet": 48}
 
 
 def refinement_stage(stage, img, boxes, weights, threshold):
@@ -271,7 +269,7 @@ def refinement_stage(stage, img, boxes, weights, threshold):
     "onet" stage and None otherwise.  A non-finite net output raises
     InvariantError.
     """
-    if stage not in _STAGE_SIZES:
+    if stage not in ("rnet", "onet"):
         raise ConfigError(f"unknown refinement stage {stage!r}")
     net = detector_nets()[stage]
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
@@ -281,7 +279,7 @@ def refinement_stage(stage, img, boxes, weights, threshold):
     if boxes.shape[0] == 0:
         pts = np.zeros((0, 5, 2)) if stage == "onet" else None
         return np.zeros((0, 4)), np.zeros(0), np.zeros((0, 4)), pts
-    heads = _forward_blocks(net, weights, img, boxes, _STAGE_SIZES[stage])
+    heads = _forward_blocks(net, weights, img, boxes)
     scores = heads["prob"][:, 1].astype(np.float64)
     offsets = heads["box"].astype(np.float64)
     ok = scores >= threshold

@@ -134,30 +134,13 @@ def save_frames(frames, path):
         raise ConfigError("refusing to write a stream with zero frames")
 
 
-def _pillow():
-    try:
-        from PIL import Image
-    except ImportError:
-        return None
-    return Image
-
-
 def load_image(path):
     """Read a single frame; PPM natively, anything else through Pillow."""
     if os.path.splitext(path)[1].lower() == ".ppm":
         return load_ppm(path)
-    pil = _pillow()
-    if pil is None:
-        raise ConfigError(f"{path}: only .ppm is supported without Pillow installed")
-    with pil.open(path) as im:
+    try:
+        from PIL import Image
+    except ImportError:
+        raise ConfigError(f"{path}: only .ppm is supported without Pillow installed") from None
+    with Image.open(path) as im:
         return np.asarray(im.convert("RGB"), dtype=np.uint8)
-
-
-def save_image(frame, path):
-    if os.path.splitext(path)[1].lower() == ".ppm":
-        save_ppm(frame, path)
-        return
-    pil = _pillow()
-    if pil is None:
-        raise ConfigError(f"{path}: only .ppm is supported without Pillow installed")
-    pil.fromarray(_check_frame(frame), mode="RGB").save(path)

@@ -90,9 +90,16 @@ class WeightStore(Mapping):
 
 
 def save_weights(store, path):
-    """Write a WeightStore (or plain mapping of arrays) to an MPRW file."""
+    """Write a WeightStore (or plain mapping of arrays) to an MPRW file.
+
+    A tensor holding a NaN or an infinity raises ConfigError and no file
+    is written, so ``load_weights`` reads back every file this writes.
+    """
     if not isinstance(store, WeightStore):
         store = WeightStore(store)
+    for name, arr in store.items():  # all checked first, so a refusal leaves no file
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"tensor {name!r} holds a non-finite value; not written")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<II", VERSION, len(store)))

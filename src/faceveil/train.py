@@ -9,6 +9,7 @@ gradients are computed in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,6 @@ from .synth import make_det_batch, make_face_chip
 from .recognize import ADULT, CHILD
 
 TASKS = ("detector", "embedder")
-STAGE_SIZES = {"pnet": 12, "rnet": 24, "onet": 48}
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,17 @@ class TrainerConfig:
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
         for name in ("learning_rate", "margin"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         for name in ("batch_size", "epochs", "n_train"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed):
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -131,7 +137,7 @@ def _sgd_step(weights, grads, scale, lr, clip_norm=0.0):
 
 def _train_stage(stage, net, config, rng, history):
     weights = net.init_weights(rng)
-    size = STAGE_SIZES[stage]
+    size = net.input_shape[1]
     data = make_det_batch(rng, size, config.n_train, with_landmarks=(stage == "onet"))
     pixels = np.stack([normalize_pixels(sample.image) for sample in data])
     labels = np.array([sample.label for sample in data])
@@ -206,13 +212,17 @@ def train_toy(config=None, weights_path=None, metrics_path=None):
     """Run the toy training task named by config.task.
 
     Returns a TrainResult; optionally writes the weight file and the
-    per-epoch metrics CSV.
+    per-epoch metrics CSV.  Raises TrainingDiverged, before writing
+    anything, when a loss or a trained weight is not finite.
     """
     config = config or TrainerConfig()
     if config.task == "detector":
         result = _train_detector(config)
     else:
         result = _train_embedder(config)
+    for name, w in result.weights.items():
+        if not np.isfinite(w).all():  # the loss is checked before each step, not after the last
+            raise TrainingDiverged(f"{config.task}: trained tensor {name!r} is not finite")
     if weights_path:
         save_weights(result.weights, weights_path)
     if metrics_path:
@@ -311,10 +321,12 @@ def _kink_free_inputs(rng):
 def run_grad_checks(seed=0):
     """Seeded finite-difference sweep over the losses and every layer type.
 
-    Returns {check name: max relative error}; raises nothing itself so
-    callers decide how strict to be.  Quadratic losses should come out
-    below 1e-6, everything else below 1e-3.
+    Returns {check name: max relative error} and judges none of them, so
+    callers decide how strict to be; a negative seed raises ConfigError.
+    Quadratic losses should come out below 1e-6, everything else below
+    1e-3.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     report = {}
 

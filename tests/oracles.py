@@ -8,6 +8,7 @@ disagrees with one of these, the package is wrong.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -180,6 +181,30 @@ def bilinear_point(img, ch, sy, sx):
     return top + ty * (bot - top)
 
 
+def crop_resize_direct(img, box, out_h, out_w):
+    """Crop one box and resize it, point by point, in float64.
+
+    Edges are rounded half up, the box's pixels outside the image are
+    zero, and each output pixel samples the box with ``bilinear_point``
+    at its half-pixel center.
+    """
+    c, h, w = img.shape
+    x1, y1, x2, y2 = (math.floor(v + 0.5) for v in box)
+    patch = np.zeros((c, y2 - y1, x2 - x1))
+    for y in range(y1, y2):
+        for x in range(x1, x2):
+            if 0 <= y < h and 0 <= x < w:
+                patch[:, y - y1, x - x1] = img[:, y, x]
+    out = np.empty((c, out_h, out_w))
+    for ch in range(c):
+        for i in range(out_h):
+            for j in range(out_w):
+                sy = (i + 0.5) * ((y2 - y1) / out_h) - 0.5
+                sx = (j + 0.5) * ((x2 - x1) / out_w) - 0.5
+                out[ch, i, j] = bilinear_point(patch, ch, sy, sx)
+    return out
+
+
 _PPM_WS = b" \t\r\n\v\f"
 
 
@@ -242,3 +267,19 @@ def ppm_frames_whole_buffer(path):
         yield frame
     if not got_any:
         raise DataError(f"{path}: no PPM frames found")
+
+
+def mprw_bytes(tensors):
+    """An MPRW file's bytes, laid out field by field with no value checks.
+
+    ``save_weights`` refuses non-finite tensors; this writes them anyway,
+    so tests can forge the files ``load_weights`` must refuse.
+    """
+    out = b"MPRW" + struct.pack("<II", 1, len(tensors))
+    for name, values in tensors.items():
+        values = np.asarray(values, dtype="<f4")
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<B", values.ndim)
+        out += struct.pack(f"<{values.ndim}I", *values.shape)
+        out += b"".join(struct.pack("<f", float(v)) for v in values.reshape(-1))
+    return out

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import TOY_CHIP, chip_batch
 from faceveil.cli import _given, build_parser, iter_input, load_labels, main, pipeline_config_from
 from faceveil.denature import Blur
@@ -96,6 +97,16 @@ class TestModuleEntryPoint:
         assert proc.returncode == 1
         assert proc.stderr.startswith("faceveil: ")
         assert "Traceback" not in proc.stderr
+
+    def test_diverged_training_exits_3_without_weight_file(self, tmp_path):
+        # a finite loss before the one step, then float32 overflow: no file is left
+        out = tmp_path / "w.mprw"
+        proc = self.run_module("train-toy", "--task", "embedder", "--lr", "1e300",
+                               "--samples", "8", "--epochs", "1", "--out", str(out))
+        assert proc.returncode == 3
+        assert "faceveil: embedder: trained tensor" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestDetect:
@@ -235,7 +246,7 @@ class TestRun:
         weights["rnet.fc1.w"] = weights["rnet.fc1.w"].copy()
         weights["rnet.fc1.w"].flat[0] = np.nan
         bad = tmp_path / "nan.mprw"
-        save_weights(weights, bad)
+        bad.write_bytes(oracles.mprw_bytes(weights))  # save_weights refuses it
         code, _, err = run_cli(
             capsys, "run", "--weights", str(bad), "--weights", art["emb_w"],
             "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
@@ -243,6 +254,33 @@ class TestRun:
         )
         assert code == 2  # rejected at load, before any frame is read
         assert "rnet.fc1.w" in err and "non-finite" in err
+
+    @pytest.mark.parametrize("method", ["blur:inf", "blur:1e300"])
+    def test_unbounded_blur_exits_1(self, art, capsys, tmp_path, method):
+        code, _, err = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
+            "--input", art["stream"], "--out-dir", str(tmp_path / "o"), "--method", method,
+        )
+        assert code == 1
+        assert err.startswith("faceveil: ") and "sigma" in err
+
+    def test_overflowing_box_expansion_covers_frame(self, art, capsys, tmp_path):
+        # 1e308 is finite, but the grown box is not: it is clamped to the frame
+        out_dir = tmp_path / "o"
+        code, out, _ = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
+            "--input", art["stream"], "--out-dir", str(out_dir), "--protect", "all",
+            "--method", "pixelate:64", "--box-expansion", "1e308",
+        )
+        assert code == 0
+        assert last_json(out)["redacted"] >= 1
+        reps = [json.loads(ln) for ln in (out_dir / "report.jsonl").read_text().splitlines()]
+        for i, rep in enumerate(reps):
+            if rep["redactions"]:  # one 64 px tile over the whole 64x64 frame
+                frame = load_ppm(out_dir / f"frame_{i:05d}.ppm")
+                assert (frame == frame[0, 0]).all()
 
     def test_protect_child_needs_gallery(self, art, capsys, tmp_path):
         code, _, err = run_cli(
@@ -463,8 +501,26 @@ class TestTrainToy:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate"),
+         ("--margin", "nan", "margin"), ("--margin", "inf", "margin"), ("--seed", "-1", "seed")],
+    )
+    def test_bad_setting_exits_1_without_weight_file(self, capsys, tmp_path, flag, value, named):
+        out = tmp_path / "w.mprw"
+        code, _, err = run_cli(capsys, "train-toy", "--out", str(out), "--samples", "8",
+                               "--epochs", "1", flag, value)
+        assert code == 1
+        assert err.startswith(f"faceveil: {named} must be")
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
+    def test_negative_seed_exits_1(self, capsys):
+        code, _, err = run_cli(capsys, "gradcheck", "--seed", "-1")
+        assert code == 1
+        assert err.startswith("faceveil: ") and "seed" in err
+
     def test_runs_clean(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--seed", "3")
         assert code == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from faceveil.denature import (
+    MAX_BLUR_SIGMA,
     Blur,
     Pixelate,
     RedactionPolicy,
@@ -46,6 +47,12 @@ class TestParseMethod:
     def test_rejects(self, text):
         with pytest.raises(ConfigError):
             parse_method(text)
+
+    def test_blur_sigma_bounded(self):
+        assert parse_method(f"blur:{MAX_BLUR_SIGMA}") == Blur(MAX_BLUR_SIGMA)
+        for text in ("blur:inf", "blur:nan", "blur:1e300", f"blur:{MAX_BLUR_SIGMA * 1.01}"):
+            with pytest.raises(ConfigError, match="sigma"):
+                parse_method(text)
 
     def test_method_validation(self):
         with pytest.raises(ConfigError):
@@ -283,6 +290,17 @@ class TestExpandBox:
         assert expand_box((1, 2, 3, 4), 0.0) == (1.0, 2.0, 3.0, 4.0)
 
 
+class TestOverflowingBox:
+    def test_huge_expansion_redacts_and_descrambles(self):
+        frame = rand_frame(np.random.default_rng(32), 12, 16)
+        policy = RedactionPolicy(box_expansion=1e308)
+        out, log = apply_policy(frame, [((4, 4, 8, 8), "child", 0.9)], policy, Scramble(b"k"))
+        assert log[0]["box"] == [-np.inf, -np.inf, np.inf, np.inf]
+        np.testing.assert_array_equal(out, scramble_region(frame, (0, 0, 16, 12), b"k"))
+        restored = descramble_regions(out, [entry["box"] for entry in log], b"k")
+        np.testing.assert_array_equal(restored, frame)
+
+
 class TestRedactionPolicy:
     def test_defaults(self):
         policy = RedactionPolicy()
@@ -300,6 +318,11 @@ class TestRedactionPolicy:
     def test_negative_expansion_rejected(self):
         with pytest.raises(ConfigError):
             RedactionPolicy(box_expansion=-0.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_expansion_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            RedactionPolicy(box_expansion=value)
 
     def test_empty_labels_allowed(self):
         assert RedactionPolicy(labels=frozenset()).labels == frozenset()

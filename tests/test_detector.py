@@ -3,6 +3,8 @@ crop geometry, refinement stages and the end-to-end path."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from faceveil.detect import (
@@ -20,7 +22,13 @@ from faceveil.detect import (
     scan_proposals,
 )
 from faceveil.errors import ConfigError, DegenerateInputError, InvariantError
-from faceveil.image import bilinear_resize, crop_resize, crop_resize_batch, normalize_pixels
+from faceveil.image import (
+    bilinear_resize,
+    box_in_image,
+    crop_resize,
+    crop_resize_batch,
+    normalize_pixels,
+)
 from faceveil.models import detector_nets
 from faceveil.synth import box_iou, make_portrait
 
@@ -280,9 +288,9 @@ class TestCropGeometry:
         with pytest.raises(DegenerateInputError):
             crop_resize(img, (-8, 0, -4, 4), 4)
 
-    @pytest.mark.parametrize("size", [24, 48, 5])
-    def test_batch_gather_bit_identical_to_crop_resize(self, size):
-        img = np.random.default_rng(7).uniform(0, 255, size=(3, 30, 40)).astype(np.float32)
+    @pytest.mark.parametrize("out_h, out_w", [(24, 24), (48, 48), (5, 5), (7, 13)])
+    def test_batch_gather_matches_pointwise_oracle(self, out_h, out_w):
+        img = np.random.default_rng(7).uniform(0, 255, size=(3, 30, 40))
         boxes = [
             (-6.4, 5.0, 10.6, 21.0),  # crosses the left border
             (30.5, 8.2, 47.1, 24.9),  # right
@@ -293,15 +301,37 @@ class TestCropGeometry:
             (3.5, 4.5, 19.5, 12.5),  # inside, half-pixel edges, not square
             (39.0, 29.0, 40.0, 30.0),  # the last pixel alone
         ]
-        got = crop_resize_batch(img, boxes, size)
-        assert got.shape == (3, len(boxes), size, size) and got.dtype == np.float32
+        got = crop_resize_batch(img, boxes, out_h, out_w)
+        assert got.shape == (3, len(boxes), out_h, out_w) and got.dtype == np.float64
         for n, box in enumerate(boxes):
-            np.testing.assert_array_equal(got[:, n], crop_resize(img, box, size))
+            want = oracles.crop_resize_direct(img, box, out_h, out_w)
+            np.testing.assert_allclose(got[:, n], want, rtol=0, atol=1e-9)
+        got32 = crop_resize_batch(img.astype(np.float32), boxes, out_h, out_w)
+        assert got32.dtype == np.float32
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_batch_gather_property_against_oracle(self, data):
+        h, w = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        img = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(
+            0, 255, size=(2, h, w))
+        edge = st.floats(-12.0, 12.0, allow_nan=False, allow_infinity=False)
+        side = st.floats(0.5, 16.0, allow_nan=False, allow_infinity=False)
+        boxes = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            x1, y1 = data.draw(edge), data.draw(edge)
+            boxes.append((x1, y1, x1 + data.draw(side), y1 + data.draw(side)))
+        assume(box_in_image(boxes, h, w).all())
+        out_h, out_w = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        got = crop_resize_batch(img, boxes, out_h, out_w)
+        for n, box in enumerate(boxes):
+            want = oracles.crop_resize_direct(img, box, out_h, out_w)
+            np.testing.assert_allclose(got[:, n], want, rtol=0, atol=1e-9)
 
     def test_batch_gather_rejects_outside_box(self):
         img = np.zeros((3, 4, 4), dtype=np.float32)
         with pytest.raises(DegenerateInputError):
-            crop_resize_batch(img, [(0, 0, 4, 4), (10, 10, 14, 14)], 4)
+            crop_resize_batch(img, [(0, 0, 4, 4), (10, 10, 14, 14)], 4, 4)
 
 
 @pytest.fixture(scope="module")

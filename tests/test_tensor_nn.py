@@ -534,9 +534,26 @@ class TestMprwFormat:
         values = np.ones((2, 3), dtype=np.float32)
         values[1, 2] = bad
         path = tmp_path / "nonfinite.mprw"
-        save_weights({"ok": np.ones(2), "rnet.fc1.w": values}, path)
+        path.write_bytes(oracles.mprw_bytes({"ok": np.ones(2), "rnet.fc1.w": values}))
         with pytest.raises(WeightLoadError, match=r"rnet\.fc1\.w"):
             load_weights(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_writer_refuses_non_finite_value(self, tmp_path, bad):
+        # the writer never makes a file its own loader refuses, and writes nothing
+        values = np.ones((2, 3), dtype=np.float32)
+        values[0, 1] = bad
+        path = tmp_path / "nonfinite.mprw"
+        with pytest.raises(ConfigError, match=r"rnet\.fc1\.w"):
+            save_weights({"ok": np.ones(2), "rnet.fc1.w": values}, path)
+        assert not path.exists()
+
+    def test_forged_file_matches_writer(self, tmp_path):
+        # the forging helper lays out the same bytes as save_weights
+        store = {"a.w": np.arange(6, dtype=np.float32).reshape(2, 3) - 2.5, "b": np.ones(1)}
+        path = tmp_path / "w.mprw"
+        save_weights(store, path)
+        assert path.read_bytes() == oracles.mprw_bytes(store)
 
     def test_dimension_product_past_int64(self, tmp_path):
         # (2**32-1)**2 wraps a signed 64-bit product; the exact size is far past the file
