@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .denature import RedactionPolicy, parse_method
@@ -50,7 +51,6 @@ PROTECT_CHOICES = {
     "none": frozenset(),
 }
 IMAGE_SUFFIXES = (".ppm", ".png")
-_TC = TrainerConfig()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,17 +119,19 @@ def build_parser():
     p.add_argument("--labels", required=True, metavar="FILE", help="filename,label lines")
     p.add_argument("--roc", metavar="FILE", help="write threshold,fpr,tpr points here")
 
+    # training settings default to None and are named after TrainerConfig
+    # fields, so that _cmd_train_toy leaves unset ones to its defaults
     p = sub.add_parser("train-toy", help="run a toy training task on synthetic data")
-    p.add_argument("--task", choices=TASKS, default="detector")
+    p.add_argument("--task", choices=TASKS)
     p.add_argument("--out", required=True, metavar="FILE", help="weight file to write")
     p.add_argument("--metrics", metavar="FILE", help="per-epoch CSV")
-    p.add_argument("--epochs", type=int, default=_TC.epochs)
-    p.add_argument("--lr", type=float, default=_TC.learning_rate)
-    p.add_argument("--batch-size", type=int, default=_TC.batch_size)
-    p.add_argument("--margin", type=float, default=_TC.margin)
-    p.add_argument("--seed", type=int, default=_TC.seed)
-    p.add_argument("--samples", type=int, default=_TC.n_train)
-    p.add_argument("--chip-size", type=int, default=_TC.chip_size)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--margin", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", dest="n_train", type=int, metavar="SAMPLES")
+    p.add_argument("--chip-size", type=int)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of losses and layers")
     p.add_argument("--seed", type=int, default=0)
@@ -333,16 +335,8 @@ def _cmd_eval(args):
 
 
 def _cmd_train_toy(args):
-    config = TrainerConfig(
-        task=args.task,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        margin=args.margin,
-        seed=args.seed,
-        n_train=args.samples,
-        chip_size=args.chip_size,
-    )
+    settings = {f.name for f in fields(TrainerConfig)}
+    config = TrainerConfig(**{k: v for k, v in _given(args).items() if k in settings})
     result = train_toy(config, weights_path=args.out, metrics_path=args.metrics)
     final = {}
     for stage, epoch, loss, acc in result.history:

@@ -194,9 +194,13 @@ def _scramble_region(region, key, inverse=False):
     return out.reshape(h, w, c)
 
 
+def _clamp_box(box, height, width):
+    """A float box with each edge clamped to the frame; +-inf edges land on its border."""
+    return tuple(min(max(float(v), 0.0), side) for v, side in zip(box, (width, height) * 2))
+
+
 def _clip_box(box, height, width):
-    # clamp before int(): an edge grown to +-inf covers the frame up to its border
-    x1, y1, x2, y2 = (min(max(float(v), 0.0), side) for v, side in zip(box, (width, height) * 2))
+    x1, y1, x2, y2 = _clamp_box(box, height, width)  # clamp before int()
     return math.floor(x1), math.floor(y1), math.ceil(x2), math.ceil(y2)
 
 
@@ -273,9 +277,10 @@ def apply_policy(frame, faces, policy, method):
     be omitted (score defaults to 0, tie to False).  Overlapping regions
     are applied in descending score order so the result is deterministic.
     The log lists one dict per redacted face with the original index, the
-    expanded box and the reason ("label" or "tie").  Logged boxes are the
-    exact floats that were redacted, so ``descramble_regions`` with them
-    restores the frame bit for bit.
+    expanded box clamped to the frame and the reason ("label" or "tie").
+    Logged boxes are finite and cover exactly the pixels that were
+    redacted, so ``descramble_regions`` with them restores the frame bit
+    for bit.
     """
     frame = np.asarray(frame)
     selected = []
@@ -294,8 +299,9 @@ def apply_policy(frame, faces, policy, method):
         selected.append((-float(score), i, grown, label, reason))
     selected.sort(key=lambda s: (s[0], s[1]))
     out = denature_regions(frame, [s[2] for s in selected], method)
+    h, w = frame.shape[:2]
     log = [
-        {"index": i, "box": list(grown), "label": label, "reason": reason}
+        {"index": i, "box": list(_clamp_box(grown, h, w)), "label": label, "reason": reason}
         for _, i, grown, label, reason in selected
     ]
     return out, log

@@ -1,8 +1,11 @@
-"""Training losses and the finite-difference gradient checker.
+"""Training losses and the finite-difference gradient probe.
 
 Everything here computes in float64 regardless of input dtype so the
 checker can resolve quadratic losses to ~1e-10.  Batch reduction is the
 mean for the three supervised losses and the sum for the triplet loss.
+``probe_error`` is the one central-difference loop: ``grad_check`` here
+and the network and layer checks in ``train`` each set up a loss and
+call it.
 """
 
 from __future__ import annotations
@@ -116,28 +119,37 @@ def select_triplets(embeddings, labels):
     return triplets
 
 
+def probe_error(loss, arr, grad, coords, step=1e-3):
+    """Worst relative error of ``grad`` against central differences of ``loss()``.
+
+    ``arr`` is the float64 array that ``loss()`` reads.  Each flat
+    coordinate in ``coords`` moves by +-step in place and is then put
+    back, so ``arr`` ends bit for bit as it began.  Relative error per
+    coordinate is |a - n| / max(1e-8, |a| + |n|).
+    """
+    flat, gflat = arr.reshape(-1), np.asarray(grad, dtype=np.float64).reshape(-1)
+    worst = 0.0
+    for i in coords:
+        orig = flat[i]
+        flat[i] = orig + step
+        hi = loss()
+        flat[i] = orig - step
+        lo = loss()
+        flat[i] = orig
+        numeric = (hi - lo) / (2.0 * step)
+        err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+        worst = max(worst, err)
+    return worst
+
+
 def grad_check(f, x, step=1e-3):
     """Largest relative error between analytic and central-difference grads.
 
-    f maps a float64 array to (loss, grad).  Relative error per coordinate
-    is |a - n| / max(1e-8, |a| + |n|).
+    f maps a float64 array to (loss, grad); every coordinate of x is probed.
     """
     x = np.asarray(x, dtype=np.float64)
     _, grad = f(x)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != x.shape:
         raise ConfigError(f"gradient shape {grad.shape} does not match input {x.shape}")
-    worst = 0.0
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi, _ = f(x)
-        flat[i] = orig - step
-        lo, _ = f(x)
-        flat[i] = orig
-        numeric = (hi - lo) / (2.0 * step)
-        analytic = grad.reshape(-1)[i]
-        err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-        worst = max(worst, err)
-    return worst
+    return probe_error(lambda: f(x)[0], x, grad, range(x.size), step)

@@ -36,26 +36,13 @@ class Network:
                 if pname in seen:
                     raise ConfigError(f"{name}: duplicate parameter name {pname}")
                 seen.add(pname)
-        self.infer_shapes()
+        # walks every layer's out_shape: layers that do not chain raise ConfigError
         self.batch_block = self._batch_block()
 
     def _all_layers(self):
         yield from self.trunk
         for layers in self.heads.values():
             yield from layers
-
-    def infer_shapes(self):
-        """Walk declared shapes through every layer; raises ConfigError on mismatch."""
-        shape = self.input_shape
-        for layer in self.trunk:
-            shape = layer.out_shape(shape)
-        out = {}
-        for head, layers in self.heads.items():
-            hshape = shape
-            for layer in layers:
-                hshape = layer.out_shape(hshape)
-            out[head] = hshape
-        return out
 
     def _batch_block(self):
         """Samples per batched forward: the widest conv's im2col fits IM2COL_BYTES."""

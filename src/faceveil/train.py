@@ -3,8 +3,10 @@
 Plain SGD over synthetic data, small enough to run inside the test
 suite.  Stage nets train on jittered face/background patches with the
 weighted multitask loss; the embedder trains on labeled chips with
-semi-hard triplets.  All parameters update in float32, losses and
-gradients are computed in float64.
+semi-hard triplets; both run ``_fit``, the one epoch loop, with their
+own ``batch_loss``.  All parameters update in float32, losses and
+gradients are computed in float64.  The gradient checks all probe
+through ``losses.probe_error``.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .losses import (
     cross_entropy_loss,
     grad_check,
     landmark_loss,
+    probe_error,
     select_triplets,
     triplet_loss,
 )
@@ -124,40 +127,65 @@ def multitask_loss(heads, batch, config):
     return total, head_grads, parts
 
 
-def _sgd_step(weights, grads, scale, lr, clip_norm=0.0):
-    """One SGD update from batch-summed gradients, scaled by scale and capped in norm."""
-    if clip_norm:
-        sq = sum(float(np.sum((scale * g) ** 2)) for g in grads.values())
-        norm = np.sqrt(sq)
-        if norm > clip_norm:
-            scale *= clip_norm / norm
-    return WeightStore({name: (w.astype(np.float64) - lr * scale * grads[name]).astype(np.float32)
-                        for name, w in weights.items()})
+def _sgd_step(weights, grads, scale, config):
+    """SGD update from scaled, norm-capped batch gradients; raises if a tensor overflows."""
+    stepped = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.clip_norm:
+            norm = np.sqrt(sum(float(np.sum((scale * g) ** 2)) for g in grads.values()))
+            if norm > config.clip_norm:
+                scale *= config.clip_norm / norm
+        step = config.learning_rate * scale
+        for name, w in weights.items():
+            stepped[name] = (w.astype(np.float64) - step * grads[name]).astype(np.float32)
+            if not np.isfinite(stepped[name]).all():
+                raise TrainingDiverged(f"{config.task}: trained tensor {name!r} is not finite")
+    return WeightStore(stepped)
+
+
+def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
+    """Minibatch SGD of net over pixels; returns the trained weights.
+
+    batch_loss(heads, idx) scores the minibatch of sample indices idx and
+    returns (loss, head_grads, terms, hits), or None to skip the batch.
+    Each step scales the batch-summed gradients by 1/terms.  Every epoch
+    appends (stage, epoch, loss per term, hits per term) to history.
+    """
+    order = np.arange(len(pixels))
+    for epoch in range(1, config.epochs + 1):
+        rng.shuffle(order)
+        loss_sum, n_hits, n_terms = 0.0, 0, 0
+        for start in range(0, len(order), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            heads, cache = net.forward_train(weights, pixels[idx])
+            scored = batch_loss(heads, idx)
+            if scored is None:
+                continue
+            loss, head_grads, terms, hits = scored
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"{stage}: loss became {loss} in epoch {epoch}")
+            loss_sum += loss
+            n_hits += hits
+            n_terms += terms
+            weights = _sgd_step(weights, net.backward(weights, cache, head_grads), 1 / terms, config)
+        hit_rate = n_hits / n_terms if n_terms else 1.0
+        history.append((stage, epoch, loss_sum / max(1, n_terms), hit_rate))
+    return weights
 
 
 def _train_stage(stage, net, config, rng, history):
     weights = net.init_weights(rng)
-    size = net.input_shape[1]
-    data = make_det_batch(rng, size, config.n_train, with_landmarks=(stage == "onet"))
+    data = make_det_batch(rng, net.input_shape[1], config.n_train, with_landmarks=(stage == "onet"))
     pixels = np.stack([normalize_pixels(sample.image) for sample in data])
     labels = np.array([sample.label for sample in data])
-    order = np.arange(len(data))
-    for epoch in range(1, config.epochs + 1):
-        rng.shuffle(order)
-        epoch_loss, n_correct = 0.0, 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            heads, cache = net.forward_train(weights, pixels[idx])
-            total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx], config)
-            if not np.isfinite(total):
-                raise TrainingDiverged(f"{stage}: loss became {total} in epoch {epoch}")
-            epoch_loss += total
-            p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
-            n_correct += int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
-            weights = _sgd_step(weights, net.backward(weights, cache, head_grads),
-                                1.0 / len(idx), config.learning_rate, config.clip_norm)
-        history.append((stage, epoch, epoch_loss / len(data), n_correct / len(data)))
-    return weights
+
+    def batch_loss(heads, idx):
+        total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx], config)
+        p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
+        hits = int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
+        return total, head_grads, len(idx), hits
+
+    return _fit(stage, net, weights, pixels, batch_loss, config, rng, history)
 
 
 def _train_detector(config):
@@ -175,36 +203,25 @@ def _train_embedder(config):
     weights = net.init_weights(rng)
     labels = np.array([CHILD if i % 2 == 0 else ADULT for i in range(config.n_train)])
     pixels = np.stack([normalize_pixels(make_face_chip(rng, lb, config.chip_size)) for lb in labels])
-    order = np.arange(config.n_train)
+
+    def batch_loss(heads, idx):
+        embs = np.asarray(heads["embedding"], dtype=np.float64)
+        triplets = select_triplets(embs, labels[idx])
+        if not triplets:
+            return None
+        ta, tp, tn = (np.array(col) for col in zip(*triplets))
+        loss, (da, dp, dn) = triplet_loss(embs[ta], embs[tp], embs[tn], config.margin)
+        d_ap = np.sum((embs[ta] - embs[tp]) ** 2, axis=1)
+        d_an = np.sum((embs[ta] - embs[tn]) ** 2, axis=1)
+        n_sat = int(np.count_nonzero(d_ap + config.margin <= d_an))
+        emb_grads = np.zeros_like(embs)
+        np.add.at(emb_grads, ta, da)
+        np.add.at(emb_grads, tp, dp)
+        np.add.at(emb_grads, tn, dn)
+        return loss, {"embedding": emb_grads}, len(triplets), n_sat
+
     history: list = []
-    for epoch in range(1, config.epochs + 1):
-        rng.shuffle(order)
-        loss_total, n_sat, n_trip = 0.0, 0, 0
-        for start in range(0, config.n_train, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            heads, cache = net.forward_train(weights, pixels[idx])
-            embs = np.asarray(heads["embedding"], dtype=np.float64)
-            triplets = select_triplets(embs, labels[idx])
-            if not triplets:
-                continue
-            ta, tp, tn = (np.array(col) for col in zip(*triplets))
-            loss, (da, dp, dn) = triplet_loss(embs[ta], embs[tp], embs[tn], config.margin)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"embedder: loss became {loss} in epoch {epoch}")
-            loss_total += loss
-            d_ap = np.sum((embs[ta] - embs[tp]) ** 2, axis=1)
-            d_an = np.sum((embs[ta] - embs[tn]) ** 2, axis=1)
-            n_sat += int(np.count_nonzero(d_ap + config.margin <= d_an))
-            n_trip += len(triplets)
-            emb_grads = np.zeros_like(embs)
-            np.add.at(emb_grads, ta, da)
-            np.add.at(emb_grads, tp, dp)
-            np.add.at(emb_grads, tn, dn)
-            grads = net.backward(weights, cache, {"embedding": emb_grads})
-            weights = _sgd_step(weights, grads, 1.0 / len(triplets), config.learning_rate,
-                                config.clip_norm)
-        sat = n_sat / n_trip if n_trip else 1.0
-        history.append(("embed", epoch, loss_total / max(1, n_trip), sat))
+    weights = _fit("embed", net, weights, pixels, batch_loss, config, rng, history)
     return TrainResult(weights, history)
 
 
@@ -220,9 +237,6 @@ def train_toy(config=None, weights_path=None, metrics_path=None):
         result = _train_detector(config)
     else:
         result = _train_embedder(config)
-    for name, w in result.weights.items():
-        if not np.isfinite(w).all():  # the loss is checked before each step, not after the last
-            raise TrainingDiverged(f"{config.task}: trained tensor {name!r} is not finite")
     if weights_path:
         save_weights(result.weights, weights_path)
     if metrics_path:
@@ -234,7 +248,7 @@ def network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=4, step
     """Compare analytic parameter gradients against central differences.
 
     x is an (N,C,H,W) batch and loss_on_heads maps the (N, ...) head
-    dict to (loss, head_grads).  Checks up to coords_per_tensor randomly
+    dict to (loss, head_grads).  Probes up to coords_per_tensor randomly
     chosen coordinates in every parameter tensor and returns the worst
     relative error.
     """
@@ -245,23 +259,14 @@ def network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=4, step
     _, head_grads = loss_on_heads(heads)
     grads = net.backward(work, cache, head_grads)
 
+    def loss():
+        return loss_on_heads(net.forward(work, x))[0]
+
     worst = 0.0
     for name in sorted(grads):
-        flat_w = work[name].reshape(-1)
-        flat_g = np.asarray(grads[name], dtype=np.float64).reshape(-1)
-        n_coords = min(coords_per_tensor, flat_w.size)
-        coords = rng.choice(flat_w.size, size=n_coords, replace=False)
-        for ci in coords:
-            orig = flat_w[ci]
-            flat_w[ci] = orig + step
-            hi = loss_on_heads(net.forward(work, x))[0]
-            flat_w[ci] = orig - step
-            lo = loss_on_heads(net.forward(work, x))[0]
-            flat_w[ci] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            analytic = flat_g[ci]
-            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            worst = max(worst, err)
+        size = work[name].size
+        coords = rng.choice(size, size=min(coords_per_tensor, size), replace=False)
+        worst = max(worst, probe_error(loss, work[name], grads[name], coords, step))
     return worst
 
 
@@ -269,7 +274,7 @@ def layer_grad_check(layer, x, seed=0, step=1e-3):
     """Check one layer's backward pass against central differences.
 
     Uses the projection loss <c, forward(x)> with fixed random c and
-    sweeps every coordinate of the input and of every parameter tensor.
+    probes every coordinate of the input and of every parameter tensor.
     Returns the worst relative error.  The caller picks ``x`` away from
     the layer's kinks (prelu at 0, pool ties) so the differences are
     meaningful.
@@ -284,22 +289,8 @@ def layer_grad_check(layer, x, seed=0, step=1e-3):
         return float(np.sum(c * np.asarray(layer.forward(x, params), dtype=np.float64)))
 
     dx, dparams = layer.backward(ctx, c, params)
-    worst = 0.0
-    targets = [(x, np.asarray(dx, dtype=np.float64))]
-    targets += [(params[name], np.asarray(g, dtype=np.float64)) for name, g in dparams.items()]
-    for arr, grad in targets:
-        flat, gflat = arr.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss()
-            flat[i] = orig - step
-            lo = loss()
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, err)
-    return worst
+    targets = [(x, dx)] + [(params[name], g) for name, g in dparams.items()]
+    return max(probe_error(loss, arr, grad, range(arr.size), step) for arr, grad in targets)
 
 
 def _kink_free_inputs(rng):

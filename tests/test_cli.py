@@ -14,15 +14,17 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import TOY_CHIP, chip_batch
+from faceveil import cli
 from faceveil.cli import _given, build_parser, iter_input, load_labels, main, pipeline_config_from
 from faceveil.denature import Blur
 from faceveil.detect import DetectorConfig
 from faceveil.image import to_frame
 from faceveil.imgio import load_ppm, save_frames, save_ppm
-from faceveil.nn import load_weights, save_weights
+from faceveil.nn import WeightStore, load_weights, save_weights
 from faceveil.pipeline import PipelineConfig, report_line
 from faceveil.recognize import ADULT, CHILD, load_gallery, save_gallery
 from faceveil.synth import make_portrait
+from faceveil.train import TrainerConfig, TrainResult
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,10 @@ def run_cli(capsys, *argv):
 
 def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
 
 
 class TestModuleEntryPoint:
@@ -276,7 +282,8 @@ class TestRun:
         )
         assert code == 0
         assert last_json(out)["redacted"] >= 1
-        reps = [json.loads(ln) for ln in (out_dir / "report.jsonl").read_text().splitlines()]
+        reps = [json.loads(ln, parse_constant=_reject_constant)
+                for ln in (out_dir / "report.jsonl").read_text().splitlines()]
         for i, rep in enumerate(reps):
             if rep["redactions"]:  # one 64 px tile over the whole 64x64 frame
                 frame = load_ppm(out_dir / f"frame_{i:05d}.ppm")
@@ -500,6 +507,23 @@ class TestTrainToy:
             capsys, "train-toy", "--out", str(tmp_path / "w.mprw"), "--epochs", "0"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags, want",
+        [([], {}), (["--lr", "0.1", "--samples", "8", "--task", "embedder"],
+                    {"learning_rate": 0.1, "n_train": 8, "task": "embedder"})],
+    )
+    def test_unset_flags_keep_config_defaults(self, capsys, tmp_path, monkeypatch, flags, want):
+        seen = []
+
+        def fake_train_toy(config, **_):
+            seen.append(config)
+            return TrainResult(WeightStore({}))
+
+        monkeypatch.setattr(cli, "train_toy", fake_train_toy)
+        code, _, _ = run_cli(capsys, "train-toy", "--out", str(tmp_path / "w.mprw"), *flags)
+        assert code == 0
+        assert seen == [TrainerConfig(**want)]
 
     @pytest.mark.parametrize(
         "flag, value, named",

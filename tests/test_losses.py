@@ -12,6 +12,7 @@ from faceveil.losses import (
     cross_entropy_loss,
     grad_check,
     landmark_loss,
+    probe_error,
     select_triplets,
     triplet_loss,
 )
@@ -195,3 +196,24 @@ class TestSelectTriplets:
     def test_bad_shapes(self):
         with pytest.raises(ConfigError):
             select_triplets(np.ones(4), np.array(["child"]))
+
+
+class TestProbeError:
+    def _quadratic(self):
+        x = np.random.default_rng(40).normal(size=(3, 4))
+        return x, (lambda: float(np.sum(x * x))), 2.0 * x
+
+    def test_restores_array_bit_for_bit(self):
+        x, loss, grad = self._quadratic()
+        before = x.copy()
+        probe_error(loss, x, grad, range(x.size), step=0.37)
+        assert x.tobytes() == before.tobytes()
+
+    def test_exact_gradient_near_zero(self):
+        x, loss, grad = self._quadratic()
+        assert probe_error(loss, x, grad, range(x.size)) < 1e-9
+
+    def test_doubled_gradient_one_third(self):
+        # |2g - g| / (|2g| + |g|) = 1/3 at every coordinate
+        x, loss, grad = self._quadratic()
+        assert probe_error(loss, x, 2.0 * grad, [0, 5, 11]) == pytest.approx(1 / 3, rel=1e-6)

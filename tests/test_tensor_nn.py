@@ -400,6 +400,20 @@ class TestNetwork:
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
+    @pytest.mark.parametrize(
+        "trunk, heads",
+        [
+            ([Conv2D("c1", 3, 4, 3), Conv2D("c2", 5, 4, 3)], {}),  # 4 channels into a 5-channel conv
+            ([Conv2D("c1", 3, 4, 3)], {"out": [PReLU("act", 6)]}),  # 6 slopes for 4 channels
+            ([Conv2D("c1", 3, 4, 7)], {}),  # a 7x7 kernel on a 6x6 input
+            ([Conv2D("c1", 3, 4, 3), Conv2D("c1", 4, 4, 3)], {}),  # parameter c1.w twice
+            ([Conv2D("c1", 3, 4, 3)], {"a": [PReLU("act", 4)], "b": [PReLU("act", 4)]}),
+        ],
+    )
+    def test_inconsistent_network_rejected_at_construction(self, trunk, heads):
+        with pytest.raises(ConfigError):
+            Network("bad", (3, 6, 6), trunk, heads)
+
     def test_single_conv_net_backward_closed_form(self):
         # 1x1 conv on a 1x1 map is w*x + b, so grads are exact by hand
         layer = Conv2D("only", 1, 1, 1)

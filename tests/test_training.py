@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from faceveil.errors import ConfigError, TrainingDiverged
+from faceveil.models import embedding_net
 from faceveil.synth import DetSample
 from faceveil.train import (
     TrainerConfig,
@@ -166,6 +167,23 @@ class TestTrainToy:
                             n_train=32, epochs=4, batch_size=8)
         with pytest.raises(TrainingDiverged):
             train_toy(cfg)
+
+    def test_overflowing_step_diverges_without_warning(self):
+        # the loss is finite, the one step overflows float32: TrainingDiverged,
+        # with no numpy RuntimeWarning (an error under this suite's filter)
+        cfg = TrainerConfig(task="embedder", learning_rate=1e300, n_train=8, epochs=1)
+        with pytest.raises(TrainingDiverged, match="embedder: trained tensor"):
+            train_toy(cfg)
+
+    def test_embedder_without_triplets_keeps_initial_weights(self):
+        # batches of one hold no triplet, so every batch is skipped
+        cfg = TrainerConfig(task="embedder", n_train=6, epochs=1, batch_size=1)
+        result = train_toy(cfg)
+        assert result.history == [("embed", 1, 0.0, 1.0)]
+        initial = embedding_net(cfg.chip_size).init_weights(np.random.default_rng(cfg.seed))
+        assert set(result.weights) == set(initial)
+        for name, w in initial.items():
+            assert result.weights[name].tobytes() == w.tobytes()
 
     def test_clip_norm_prevents_blowup(self):
         cfg = TrainerConfig(task="detector", learning_rate=1e4, clip_norm=5.0,
