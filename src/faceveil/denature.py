@@ -5,6 +5,10 @@ Three methods: pixelate (tile means, idempotent), Gaussian blur
 (pixel permutation plus XOR, both driven by a SHA-256 counter
 keystream, exactly invertible with the key).  The keystream is built
 from hashlib only, so outputs never depend on numpy's RNG internals.
+
+Each method obscures one region (``obscure``); one region loop,
+``_each_region``, runs it, or the inverse scramble, over the clipped
+boxes of a checked copy of the frame.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .imgio import check_frame
 
 
 @dataclass(frozen=True)
@@ -25,6 +30,18 @@ class Pixelate:
     def __post_init__(self):
         if self.block < 1:
             raise ConfigError(f"pixelate block must be >= 1, got {self.block}")
+
+    def obscure(self, region):
+        """Each block x block tile (ragged at the far edges) set to its rounded mean."""
+        (h, w, _), b = region.shape, self.block
+        out = np.empty_like(region)
+        for y in range(0, h, b):
+            for x in range(0, w, b):
+                tile = region[y : y + b, x : x + b]
+                # float64 mean of equal values is exact, so a second pass is a no-op
+                mean = tile.astype(np.float64).mean(axis=(0, 1))
+                out[y : y + b, x : x + b] = np.rint(mean).astype(np.uint8)
+        return out
 
 
 # The separable kernel has 2 * ceil(3 * sigma) + 1 taps, so the cost grows
@@ -40,6 +57,17 @@ class Blur:
         if not 0 < self.sigma <= MAX_BLUR_SIGMA:  # also rejects NaN and infinity
             raise ConfigError(f"blur sigma must be in (0, {MAX_BLUR_SIGMA:g}], got {self.sigma}")
 
+    def obscure(self, region):
+        """Separable Gaussian blur, rows then columns, edges replicated inside the region."""
+        k = gaussian_kernel(self.sigma)
+        r = (k.size - 1) // 2
+        img = region.astype(np.float64)
+        img = np.pad(img, ((r, r), (0, 0), (0, 0)), mode="edge")
+        rows = sum(img[i : i + region.shape[0]] * k[i] for i in range(k.size))
+        rows = np.pad(rows, ((0, 0), (r, r), (0, 0)), mode="edge")
+        out = sum(rows[:, i : i + region.shape[1]] * k[i] for i in range(k.size))
+        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
 
 @dataclass(frozen=True)
 class Scramble:
@@ -48,6 +76,12 @@ class Scramble:
     def __post_init__(self):
         if not isinstance(self.key, bytes) or len(self.key) == 0:
             raise ConfigError("scramble key must be non-empty bytes")
+
+    def obscure(self, region):
+        """Permute the region's pixels, then XOR their bytes; ``_unscramble`` inverts it."""
+        h, w, c = region.shape
+        shuffled = region.reshape(h * w, c)[_permutation(h * w, self.key, (h, w))]
+        return _xor_bytes(shuffled.reshape(-1), self.key, (h, w)).reshape(h, w, c)
 
 
 @dataclass(frozen=True)
@@ -92,34 +126,11 @@ def parse_method(text):
     raise ConfigError(f"unknown denature method {name!r}")
 
 
-def _pixelate_region(region, block):
-    h, w, _ = region.shape
-    out = np.empty_like(region)
-    for y in range(0, h, block):
-        for x in range(0, w, block):
-            tile = region[y : y + block, x : x + block]
-            # float64 mean of equal values is exact, so a second pass is a no-op
-            mean = tile.astype(np.float64).mean(axis=(0, 1))
-            out[y : y + block, x : x + block] = np.rint(mean).astype(np.uint8)
-    return out
-
-
 def gaussian_kernel(sigma):
     radius = math.ceil(3.0 * sigma)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs * xs) / (2.0 * sigma * sigma))
     return k / k.sum()
-
-
-def _blur_region(region, sigma):
-    k = gaussian_kernel(sigma)
-    r = (k.size - 1) // 2
-    img = region.astype(np.float64)
-    img = np.pad(img, ((r, r), (0, 0), (0, 0)), mode="edge")
-    rows = sum(img[i : i + region.shape[0]] * k[i] for i in range(k.size))
-    rows = np.pad(rows, ((0, 0), (r, r), (0, 0)), mode="edge")
-    out = sum(rows[:, i : i + region.shape[1]] * k[i] for i in range(k.size))
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 class _KeyStream:
@@ -180,17 +191,12 @@ def _xor_bytes(flat, key, shape):
     return flat ^ pad
 
 
-def _scramble_region(region, key, inverse=False):
+def _unscramble(region, key):
+    """Scramble(key).obscure undone: XOR the bytes again, then put each pixel back."""
     h, w, c = region.shape
-    perm = _permutation(h * w, key, (h, w))
-    flat = region.reshape(h * w, c)
-    if inverse:
-        unxored = _xor_bytes(flat.reshape(-1), key, (h, w)).reshape(h * w, c)
-        out = np.empty_like(unxored)
-        out[perm] = unxored
-    else:
-        shuffled = flat[perm]
-        out = _xor_bytes(shuffled.reshape(-1), key, (h, w)).reshape(h * w, c)
+    unxored = _xor_bytes(region.reshape(-1), key, (h, w)).reshape(h * w, c)
+    out = np.empty_like(unxored)
+    out[_permutation(h * w, key, (h, w))] = unxored
     return out.reshape(h, w, c)
 
 
@@ -204,62 +210,32 @@ def _clip_box(box, height, width):
     return math.floor(x1), math.floor(y1), math.ceil(x2), math.ceil(y2)
 
 
-def denature_regions(frame, boxes, method):
-    """Return a copy of the (H, W, 3) uint8 frame with each box obscured.
+def _each_region(frame, boxes, obscure):
+    """Copy the (H, W, 3) uint8 frame, then set each box to ``obscure(region)``.
 
-    Boxes are clipped to the frame; boxes that end up empty are skipped.
+    Boxes are clipped to the frame and applied in order, each to the
+    pixels the boxes before it left; boxes that end up empty are skipped.
     """
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.dtype != np.uint8:
-        raise ConfigError(f"expected (H,W,3) uint8 frame, got {frame.dtype} {frame.shape}")
-    out = frame.copy()
-    h, w = frame.shape[:2]
+    out = check_frame(frame).copy()
+    h, w = out.shape[:2]
     for box in boxes:
         x1, y1, x2, y2 = _clip_box(box, h, w)
-        if x2 <= x1 or y2 <= y1:
-            continue
-        region = out[y1:y2, x1:x2]
-        if isinstance(method, Pixelate):
-            out[y1:y2, x1:x2] = _pixelate_region(region, method.block)
-        elif isinstance(method, Blur):
-            out[y1:y2, x1:x2] = _blur_region(region, method.sigma)
-        elif isinstance(method, Scramble):
-            out[y1:y2, x1:x2] = _scramble_region(region, method.key)
-        else:
-            raise ConfigError(f"unknown denature method {method!r}")
+        if x2 > x1 and y2 > y1:
+            out[y1:y2, x1:x2] = obscure(out[y1:y2, x1:x2])
     return out
+
+
+def denature_regions(frame, boxes, method):
+    """Return a copy of the (H, W, 3) uint8 frame with each box obscured by ``method``."""
+    if not isinstance(method, (Pixelate, Blur, Scramble)):
+        raise ConfigError(f"unknown denature method {method!r}")
+    return _each_region(frame, boxes, method.obscure)
 
 
 def descramble_regions(frame, boxes, key):
     """Exact inverse of Scramble over the same boxes and key."""
-    frame = np.asarray(frame)
-    if frame.ndim != 3 or frame.dtype != np.uint8:
-        raise ConfigError(f"expected (H,W,3) uint8 frame, got {frame.dtype} {frame.shape}")
-    out = frame.copy()
-    h, w = frame.shape[:2]
     # undo in reverse order so stacked overlapping boxes unwind correctly
-    for box in reversed(list(boxes)):
-        x1, y1, x2, y2 = _clip_box(box, h, w)
-        if x2 <= x1 or y2 <= y1:
-            continue
-        out[y1:y2, x1:x2] = _scramble_region(out[y1:y2, x1:x2], key, inverse=True)
-    return out
-
-
-def pixelate_region(frame, box, block=8):
-    return denature_regions(frame, [box], Pixelate(block))
-
-
-def blur_region(frame, box, sigma=2.5):
-    return denature_regions(frame, [box], Blur(sigma))
-
-
-def scramble_region(frame, box, key):
-    return denature_regions(frame, [box], Scramble(key))
-
-
-def unscramble_region(frame, box, key):
-    return descramble_regions(frame, [box], key)
+    return _each_region(frame, reversed(list(boxes)), lambda region: _unscramble(region, key))
 
 
 def expand_box(box, fraction):
@@ -273,8 +249,7 @@ def expand_box(box, fraction):
 def apply_policy(frame, faces, policy, method):
     """Redact the faces a policy selects; returns (frame copy, log).
 
-    ``faces`` holds (box, label, score, tie) tuples; trailing elements may
-    be omitted (score defaults to 0, tie to False).  Overlapping regions
+    ``faces`` holds (box, label, score, tie) tuples.  Overlapping regions
     are applied in descending score order so the result is deterministic.
     The log lists one dict per redacted face with the original index, the
     expanded box clamped to the frame and the reason ("label" or "tie").
@@ -282,13 +257,8 @@ def apply_policy(frame, faces, policy, method):
     redacted, so ``descramble_regions`` with them restores the frame bit
     for bit.
     """
-    frame = np.asarray(frame)
     selected = []
-    for i, face in enumerate(faces):
-        face = tuple(face)
-        box, label = face[0], face[1]
-        score = float(face[2]) if len(face) > 2 else 0.0
-        tie = bool(face[3]) if len(face) > 3 else False
+    for i, (box, label, score, tie) in enumerate(faces):
         if label is not None and label in policy.labels:
             reason = "label"
         elif tie and policy.redact_on_tie:
@@ -299,7 +269,7 @@ def apply_policy(frame, faces, policy, method):
         selected.append((-float(score), i, grown, label, reason))
     selected.sort(key=lambda s: (s[0], s[1]))
     out = denature_regions(frame, [s[2] for s in selected], method)
-    h, w = frame.shape[:2]
+    h, w = out.shape[:2]
     log = [
         {"index": i, "box": list(_clamp_box(grown, h, w)), "label": label, "reason": reason}
         for _, i, grown, label, reason in selected

@@ -4,7 +4,10 @@ Stage 1 scans an image pyramid with the fully convolutional proposal
 net, stages 2 and 3 rescore square crops of the surviving candidates.
 Boxes travel through the cascade as float64 arrays of (x1, y1, x2, y2)
 in original-frame pixel coordinates with exclusive right/bottom edges;
-the dataclasses below are the public face of the results.
+the dataclasses below are the public face of the results.  The four
+overlap cuts are fixed, as in the reference MTCNN cascade: IoU 0.5
+within one pyramid level, then IoU 0.7 across levels and after stage 2,
+and min-overlap 0.7 after stage 3.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ from .models import detector_nets
 
 CELL = 12  # proposal-net receptive field
 STRIDE = 2  # effective stride of the proposal net (one 2x2/2 pool)
+NMS_PER_SCALE = 0.5  # IoU cut within one pyramid level
+NMS_STAGE1 = 0.7  # IoU cut across pyramid levels
+NMS_STAGE2 = 0.7  # IoU cut after stage 2
+NMS_STAGE3 = 0.7  # min-overlap cut after stage 3
 
 
 @dataclass(frozen=True)
@@ -51,12 +58,6 @@ class DetectorConfig:
     scale_factor: float = 0.709
     # face-score cut per stage
     thresholds: tuple = (0.6, 0.7, 0.7)
-    # overlap cuts: within one pyramid level, across levels, after stage 2,
-    # after stage 3 (the last one uses min-overlap instead of IoU)
-    nms_per_scale: float = 0.5
-    nms_stage1: float = 0.7
-    nms_stage2: float = 0.7
-    nms_stage3: float = 0.7
 
     def __post_init__(self):
         if self.min_face_size < CELL:
@@ -65,10 +66,6 @@ class DetectorConfig:
             raise ConfigError(f"scale_factor must be in (0, 1), got {self.scale_factor}")
         if len(self.thresholds) != 3 or any(not 0.0 <= t <= 1.0 for t in self.thresholds):
             raise ConfigError(f"need three score thresholds in [0, 1], got {self.thresholds}")
-        for name in ("nms_per_scale", "nms_stage1", "nms_stage2", "nms_stage3"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
 
 
 def pyramid_scales(height, width, min_face_size=20, scale_factor=0.709):
@@ -216,21 +213,17 @@ def pnet_scan(level, weights, threshold):
 
 
 def _stage1(img, weights, cfg):
-    all_boxes, all_scores, all_offsets = [], [], []
+    kept = []  # (boxes, scores, offsets) of each level that proposed any
     for level in build_pyramid(img, cfg):
         boxes, scores, offsets = pnet_scan(level, weights, cfg.thresholds[0])
         if boxes.shape[0] == 0:
             continue
-        keep = nms(boxes, scores, cfg.nms_per_scale, mode="union")
-        all_boxes.append(boxes[keep])
-        all_scores.append(scores[keep])
-        all_offsets.append(offsets[keep])
-    if not all_boxes:
+        keep = nms(boxes, scores, NMS_PER_SCALE, mode="union")
+        kept.append((boxes[keep], scores[keep], offsets[keep]))
+    if not kept:
         return np.zeros((0, 4))
-    boxes = np.concatenate(all_boxes)
-    scores = np.concatenate(all_scores)
-    offsets = np.concatenate(all_offsets)
-    keep = nms(boxes, scores, cfg.nms_stage1, mode="union")
+    boxes, scores, offsets = (np.concatenate(parts) for parts in zip(*kept))
+    keep = nms(boxes, scores, NMS_STAGE1, mode="union")
     return refine_boxes(boxes[keep], offsets[keep])[0]
 
 
@@ -294,7 +287,7 @@ def _stage2(img, boxes, weights, cfg):
     boxes, scores, offsets, _ = refinement_stage("rnet", img, boxes, weights, cfg.thresholds[1])
     if boxes.shape[0] == 0:
         return boxes
-    keep = nms(boxes, scores, cfg.nms_stage2, mode="union")
+    keep = nms(boxes, scores, NMS_STAGE2, mode="union")
     return refine_boxes(boxes[keep], offsets[keep])[0]
 
 
@@ -327,7 +320,7 @@ def _stage3(img, boxes, weights, cfg):
         return np.zeros((0, 4)), np.zeros(0), np.zeros((0, 5, 2))
     refined, ok = refine_boxes(boxes, offsets)
     scores, pts = scores[ok], _clamp_landmarks(pts[ok], refined)
-    keep = nms(refined, scores, cfg.nms_stage3, mode="min")
+    keep = nms(refined, scores, NMS_STAGE3, mode="min")
     return refined[keep], scores[keep], pts[keep]
 
 

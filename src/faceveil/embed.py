@@ -39,8 +39,8 @@ class FaceChip:
             raise InvariantError("chip pixels exceed [-1, 1]; pass normalized values")
 
 
-def align_crop(img, box, out_size=CHIP_SIZE, margin=0.0):
-    """Cut the (optionally margin-expanded) box, resize square, normalize.
+def align_crop(img, box, out_size=CHIP_SIZE):
+    """Cut the box, resize square, normalize.
 
     ``box`` may be a 4-tuple, a FaceBox or a Detection.  The image holds
     raw 0..255 values; the returned chip is already network-ready.
@@ -48,13 +48,8 @@ def align_crop(img, box, out_size=CHIP_SIZE, margin=0.0):
     box = getattr(box, "box", box)  # Detection -> FaceBox
     if hasattr(box, "x1"):
         box = (box.x1, box.y1, box.x2, box.y2)
-    x1, y1, x2, y2 = box
-    if margin:
-        mw = (x2 - x1) * margin / 2.0
-        mh = (y2 - y1) * margin / 2.0
-        x1, y1, x2, y2 = x1 - mw, y1 - mh, x2 + mw, y2 + mh
-    pixels = normalize_pixels(crop_resize(img, (x1, y1, x2, y2), out_size))
-    return FaceChip(pixels=pixels, box=(float(x1), float(y1), float(x2), float(y2)))
+    pixels = normalize_pixels(crop_resize(img, box, out_size))
+    return FaceChip(pixels=pixels, box=tuple(float(v) for v in box))
 
 
 def embed_chip(chip, weights):

@@ -105,7 +105,8 @@ def load_ppm(path):
         return next(frames)
 
 
-def _check_frame(frame):
+def check_frame(frame):
+    """The frame as an array, or ConfigError unless it is an (H, W, 3) uint8 frame."""
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[2] != 3 or frame.dtype != np.uint8:
         raise ConfigError(f"expected (H,W,3) uint8 frame, got {frame.dtype} {frame.shape}")
@@ -113,7 +114,7 @@ def _check_frame(frame):
 
 
 def ppm_bytes(frame):
-    frame = _check_frame(frame)
+    frame = check_frame(frame)
     h, w = frame.shape[:2]
     return b"P6\n%d %d\n255\n" % (w, h) + np.ascontiguousarray(frame).tobytes()
 

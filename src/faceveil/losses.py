@@ -122,20 +122,22 @@ def select_triplets(embeddings, labels):
 def probe_error(loss, arr, grad, coords, step=1e-3):
     """Worst relative error of ``grad`` against central differences of ``loss()``.
 
-    ``arr`` is the float64 array that ``loss()`` reads.  Each flat
-    coordinate in ``coords`` moves by +-step in place and is then put
-    back, so ``arr`` ends bit for bit as it began.  Relative error per
-    coordinate is |a - n| / max(1e-8, |a| + |n|).
+    ``arr`` is the float64 array that ``loss()`` reads, in any memory
+    layout.  Each flat (C-order) coordinate in ``coords`` moves by +-step
+    in place and is then put back, so ``arr`` ends bit for bit as it
+    began.  Relative error per coordinate is |a - n| / max(1e-8, |a| + |n|).
     """
-    flat, gflat = arr.reshape(-1), np.asarray(grad, dtype=np.float64).reshape(-1)
+    gflat = np.asarray(grad, dtype=np.float64).reshape(-1)
     worst = 0.0
     for i in coords:
-        orig = flat[i]
-        flat[i] = orig + step
+        # index the array itself: reshape(-1) copies a non-contiguous one
+        at = np.unravel_index(i, arr.shape)
+        orig = arr[at]
+        arr[at] = orig + step
         hi = loss()
-        flat[i] = orig - step
+        arr[at] = orig - step
         lo = loss()
-        flat[i] = orig
+        arr[at] = orig
         numeric = (hi - lo) / (2.0 * step)
         err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
         worst = max(worst, err)

@@ -20,11 +20,13 @@ from .detect import DetectorConfig, detect_faces
 from .embed import FaceChip, align_crop, embed_chip
 from .errors import ConfigError, DataError, InvariantError
 from .image import normalize_pixels, to_planar
+from .imgio import check_frame
 from .models import detector_nets, embedding_net
 from .recognize import LABELS, classify, compute_roc
 
 STAGES = ("detect_ms", "embed_ms", "classify_ms", "denature_ms")
 TIMING_SLACK_MS = 1e-6
+TIMING_HEADROOM = 0.05  # the total may exceed the stage sum by this share
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,8 @@ class Pipeline:
                     raise ConfigError(f"gallery has no {label!r} references")
 
     def process_frame(self, frame, index=0, source=None):
-        """(H, W, 3) uint8 frame -> (processed frame, report dict)."""
+        """(H, W, 3) uint8 frame -> (processed frame, report dict); else ConfigError."""
+        frame = check_frame(frame)
         cfg = self.config
         img = to_planar(frame)
 
@@ -108,14 +111,6 @@ class Pipeline:
             report["timing_ms"] = timing
         return out, report
 
-    def process_stream(self, frames, report_file=None):
-        """Yield processed frames; optionally write one JSON report line each."""
-        for i, frame in enumerate(frames):
-            out, report = self.process_frame(frame, i)
-            if report_file is not None:
-                report_file.write(report_line(report) + "\n")
-            yield out
-
 
 def detection_entry(det):
     """A detection's report fields: box, score and five landmark points."""
@@ -130,8 +125,8 @@ def report_line(report):
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
-def check_timing(timing, overhead_frac=0.05):
-    """Stage times must be non-negative and tile the total (5% headroom)."""
+def check_timing(timing):
+    """Stage times must be non-negative and tile the total, within TIMING_HEADROOM."""
     parts = [timing[s] for s in STAGES]
     if any(p < 0 for p in parts):
         raise InvariantError(f"negative stage time in {timing}")
@@ -139,7 +134,7 @@ def check_timing(timing, overhead_frac=0.05):
     ssum = sum(parts)
     if total + TIMING_SLACK_MS < ssum:
         raise InvariantError(f"stage sum {ssum} exceeds total {total}")
-    if total > ssum * (1.0 + overhead_frac) + TIMING_SLACK_MS:
+    if total > ssum * (1.0 + TIMING_HEADROOM) + TIMING_SLACK_MS:
         raise InvariantError(f"total {total} exceeds stage sum {ssum} by more than headroom")
 
 
@@ -291,21 +286,20 @@ def evaluate_stream(frames, labels, pipeline):
     return evaluate_reports(reports, {str(i): truth for i, truth in enumerate(labels)})
 
 
-def bench(frames, pipeline, repeats=1):
-    """Per-stage mean/median/p95 milliseconds over frames x repeats."""
+def bench(frames, pipeline):
+    """Per-stage mean/median/p95 milliseconds over the frames."""
     frames = list(frames)
-    if not frames or repeats < 1:
-        raise ConfigError("bench needs at least one frame and one repeat")
+    if not frames:
+        raise ConfigError("bench needs at least one frame")
     samples = {k: [] for k in STAGES + ("total_ms",)}
-    for _ in range(repeats):
-        for i, frame in enumerate(frames):
-            _, report = pipeline.process_frame(frame, i)
-            timing = report.get("timing_ms")
-            if timing is None:
-                raise ConfigError("bench requires emit_timing=True")
-            for k in samples:
-                samples[k].append(timing[k])
-    stats = {"frames": len(samples["total_ms"])}
+    for i, frame in enumerate(frames):
+        _, report = pipeline.process_frame(frame, i)
+        timing = report.get("timing_ms")
+        if timing is None:
+            raise ConfigError("bench requires emit_timing=True")
+        for k in samples:
+            samples[k].append(timing[k])
+    stats = {"frames": len(frames)}
     for k, vals in samples.items():
         arr = np.asarray(vals)
         stats[k] = {

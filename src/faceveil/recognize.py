@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +33,14 @@ class Gallery:
     def __len__(self):
         return len(self.labels)
 
+    @cached_property
+    def _rows_by_label(self):
+        labels = np.array(self.labels)  # split once per gallery, not once per classified face
+        return {label: self.vectors[labels == label] for label in set(self.labels)}
+
     def vectors_for(self, label):
-        mask = np.array([lb == label for lb in self.labels], dtype=bool)
-        return self.vectors[mask]
+        """The label's rows in gallery order, one array shared by every call; none if absent."""
+        return self._rows_by_label.get(label, self.vectors[:0])
 
 
 def build_gallery(entries, note=""):

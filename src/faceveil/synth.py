@@ -147,10 +147,11 @@ def make_det_sample(rng, size, positive, with_landmarks=False):
     return DetSample(patch.astype(np.float32), 1, offsets, lmk)
 
 
-def make_det_batch(rng, size, n, pos_fraction=0.5, with_landmarks=False):
+def make_det_batch(rng, size, n, with_landmarks=False):
+    """n patches in shuffled order; patch i is a face when i % 100 < 50."""
     out = []
     for i in range(n):
-        positive = (i % 100) < round(pos_fraction * 100)
+        positive = (i % 100) < 50
         out.append(make_det_sample(rng, size, positive, with_landmarks))
     rng.shuffle(out)
     return out
@@ -178,25 +179,3 @@ def make_portrait(rng, label, size=64):
     cy = s / 2.0 + rng.uniform(-0.03, 0.03) * s
     draw_face(img, cx, cy, rx, ry, _tint(rng, label), rng)
     return img, (cx - ry, cy - ry, cx + ry, cy + ry), label
-
-
-def make_scene(rng, height, width, labels):
-    """A frame with one face per label; returns (image, [(gt_box, label, landmarks)])."""
-    img = textured_background(rng, height, width)
-    placed = []
-    for label in labels:
-        box, cx, cy, rx, ry = None, 0.0, 0.0, 0.0, 0.0
-        for _ in range(60):
-            ry = rng.uniform(14.0, min(height, width) * 0.22)
-            rx = ry * rng.uniform(0.72, 0.85)
-            cx = rng.uniform(ry + 2.0, width - ry - 2.0)
-            cy = rng.uniform(ry + 2.0, height - ry - 2.0)
-            cand = (cx - ry, cy - ry, cx + ry, cy + ry)
-            if all(box_iou(cand, b) < 0.02 for b, _, _ in placed):
-                box = cand
-                break
-        if box is None:
-            continue  # crowded frame: skip rather than overlap
-        pts = draw_face(img, cx, cy, rx, ry, _tint(rng, label), rng)
-        placed.append((box, label, pts))
-    return img, placed

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,16 @@ from hypothesis import strategies as st
 import oracles
 from conftest import TOY_CHIP, chip_batch
 from faceveil import cli
-from faceveil.cli import _given, build_parser, iter_input, load_labels, main, pipeline_config_from
-from faceveil.denature import Blur
+from faceveil.cli import (
+    _CONFIG_KEYS,
+    _given,
+    build_parser,
+    iter_input,
+    load_labels,
+    main,
+    pipeline_config_from,
+)
+from faceveil.denature import Blur, RedactionPolicy
 from faceveil.detect import DetectorConfig
 from faceveil.image import to_frame
 from faceveil.imgio import load_ppm, save_frames, save_ppm
@@ -652,6 +661,16 @@ class TestPipelineConfigFrom:
         assert cfg.method == Blur(2.0)
         assert cfg.policy.labels == {CHILD, ADULT}
         assert not cfg.policy.redact_on_tie
+
+
+    def test_every_setting_has_a_key(self):
+        # a field no command can set is a knob nobody turns
+        reached = {(part, name) for part, name, _, _ in _CONFIG_KEYS.values()}
+        fixed = {"detector", "policy", "emit_timing"}
+        settable = {("detector", f.name) for f in fields(DetectorConfig)}
+        settable |= {("policy", f.name) for f in fields(RedactionPolicy)}
+        settable |= {("pipeline", f.name) for f in fields(PipelineConfig) if f.name not in fixed}
+        assert reached == settable
 
 
 class TestIterInput:

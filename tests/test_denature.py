@@ -13,15 +13,11 @@ from faceveil.denature import (
     RedactionPolicy,
     Scramble,
     apply_policy,
-    blur_region,
     denature_regions,
     descramble_regions,
     expand_box,
     gaussian_kernel,
     parse_method,
-    pixelate_region,
-    scramble_region,
-    unscramble_region,
 )
 from faceveil.errors import ConfigError
 
@@ -67,7 +63,7 @@ class TestPixelate:
     def test_hand_example_block2(self):
         base = np.arange(16, dtype=np.uint8).reshape(4, 4)
         frame = np.stack([base] * 3, axis=2)
-        out = pixelate_region(frame, (0, 0, 4, 4), block=2)
+        out = denature_regions(frame, [(0, 0, 4, 4)], Pixelate(2))
         want = np.array(
             [[2, 2, 4, 4], [2, 2, 4, 4], [10, 10, 12, 12], [10, 10, 12, 12]], dtype=np.uint8
         )
@@ -77,21 +73,21 @@ class TestPixelate:
     def test_block_one_is_identity(self):
         rng = np.random.default_rng(0)
         frame = rand_frame(rng)
-        out = pixelate_region(frame, (0, 0, 32, 32), block=1)
+        out = denature_regions(frame, [(0, 0, 32, 32)], Pixelate(1))
         np.testing.assert_array_equal(out, frame)
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         frame = rand_frame(rng, 21, 17)  # ragged tiles included
         box = (2, 3, 15, 19)
-        once = pixelate_region(frame, box, block=4)
-        twice = pixelate_region(once, box, block=4)
+        once = denature_regions(frame, [box], Pixelate(4))
+        twice = denature_regions(once, [box], Pixelate(4))
         np.testing.assert_array_equal(once, twice)
 
     def test_tiles_are_constant(self):
         rng = np.random.default_rng(2)
         frame = rand_frame(rng, 16, 16)
-        out = pixelate_region(frame, (0, 0, 16, 16), block=8)
+        out = denature_regions(frame, [(0, 0, 16, 16)], Pixelate(8))
         for ys in (slice(0, 8), slice(8, 16)):
             for xs in (slice(0, 8), slice(8, 16)):
                 tile = out[ys, xs]
@@ -101,7 +97,7 @@ class TestPixelate:
         rng = np.random.default_rng(3)
         frame = rand_frame(rng)
         box = (8, 8, 24, 24)
-        out = pixelate_region(frame, box, block=4)
+        out = denature_regions(frame, [box], Pixelate(4))
         mask = np.ones((32, 32), dtype=bool)
         mask[8:24, 8:24] = False
         np.testing.assert_array_equal(out[mask], frame[mask])
@@ -117,13 +113,13 @@ class TestBlur:
 
     def test_constant_region_unchanged(self):
         frame = np.full((20, 20, 3), 77, dtype=np.uint8)
-        out = blur_region(frame, (0, 0, 20, 20), sigma=2.0)
+        out = denature_regions(frame, [(0, 0, 20, 20)], Blur(2.0))
         np.testing.assert_array_equal(out, frame)
 
     def test_impulse_spreads_like_separable_kernel(self):
         frame = np.zeros((15, 15, 3), dtype=np.uint8)
         frame[7, 7] = 255
-        out = blur_region(frame, (0, 0, 15, 15), sigma=1.0)
+        out = denature_regions(frame, [(0, 0, 15, 15)], Blur(1.0))
         k = gaussian_kernel(1.0)
         assert out[7, 7, 0] == int(np.rint(255.0 * k[3] * k[3]))
         assert out[7, 8, 0] == int(np.rint(255.0 * k[3] * k[4]))
@@ -133,13 +129,13 @@ class TestBlur:
     def test_blur_smooths_variance(self):
         rng = np.random.default_rng(4)
         frame = rand_frame(rng, 24, 24)
-        out = blur_region(frame, (0, 0, 24, 24), sigma=2.5)
+        out = denature_regions(frame, [(0, 0, 24, 24)], Blur(2.5))
         assert out.astype(float).var() < frame.astype(float).var() / 4
 
     def test_outside_untouched(self):
         rng = np.random.default_rng(5)
         frame = rand_frame(rng)
-        out = blur_region(frame, (10, 10, 20, 20), sigma=1.5)
+        out = denature_regions(frame, [(10, 10, 20, 20)], Blur(1.5))
         mask = np.ones((32, 32), dtype=bool)
         mask[10:20, 10:20] = False
         np.testing.assert_array_equal(out[mask], frame[mask])
@@ -150,9 +146,9 @@ class TestScramble:
         rng = np.random.default_rng(6)
         frame = rand_frame(rng)
         box = (4, 6, 27, 30)
-        scrambled = scramble_region(frame, box, b"secret")
+        scrambled = denature_regions(frame, [box], Scramble(b"secret"))
         assert not np.array_equal(scrambled, frame)
-        restored = unscramble_region(scrambled, box, b"secret")
+        restored = descramble_regions(scrambled, [box], b"secret")
         np.testing.assert_array_equal(restored, frame)
 
     def test_round_trip_box_over_256x256(self):
@@ -160,25 +156,25 @@ class TestScramble:
         rng = np.random.default_rng(16)
         frame = rand_frame(rng, 270, 266)
         box = (3, 5, 261, 265)
-        scrambled = scramble_region(frame, box, b"wide")
+        scrambled = denature_regions(frame, [box], Scramble(b"wide"))
         assert not np.array_equal(scrambled[5:265, 3:261], frame[5:265, 3:261])
         np.testing.assert_array_equal(scrambled[:5], frame[:5])
-        np.testing.assert_array_equal(unscramble_region(scrambled, box, b"wide"), frame)
+        np.testing.assert_array_equal(descramble_regions(scrambled, [box], b"wide"), frame)
 
     def test_wrong_key_does_not_restore(self):
         rng = np.random.default_rng(7)
         frame = rand_frame(rng)
         box = (0, 0, 32, 32)
-        scrambled = scramble_region(frame, box, b"right")
-        wrong = unscramble_region(scrambled, box, b"wrong")
+        scrambled = denature_regions(frame, [box], Scramble(b"right"))
+        wrong = descramble_regions(scrambled, [box], b"wrong")
         assert not np.array_equal(wrong, frame)
 
     def test_different_keys_differ(self):
         rng = np.random.default_rng(8)
         frame = rand_frame(rng)
         box = (0, 0, 16, 16)
-        a = scramble_region(frame, box, b"key-a")
-        b = scramble_region(frame, box, b"key-b")
+        a = denature_regions(frame, [box], Scramble(b"key-a"))
+        b = denature_regions(frame, [box], Scramble(b"key-b"))
         assert not np.array_equal(a, b)
 
     def test_deterministic(self):
@@ -186,7 +182,8 @@ class TestScramble:
         frame = rand_frame(rng)
         box = (1, 2, 13, 14)
         np.testing.assert_array_equal(
-            scramble_region(frame, box, b"k"), scramble_region(frame, box, b"k")
+            denature_regions(frame, [box], Scramble(b"k")),
+            denature_regions(frame, [box], Scramble(b"k")),
         )
 
     @pytest.mark.parametrize(
@@ -231,12 +228,12 @@ class TestScramble:
         pad = bytes(next(xor_gen) for _ in range(shuffled.size))
         want = (shuffled ^ np.frombuffer(pad, dtype=np.uint8)).reshape(h, w, 3)
 
-        got = scramble_region(frame, (0, 0, w, h), key)
+        got = denature_regions(frame, [(0, 0, w, h)], Scramble(key))
         np.testing.assert_array_equal(got, want)
 
     def test_constant_region_histogram_uniform(self):
         frame = np.full((32, 32, 3), 128, dtype=np.uint8)
-        out = scramble_region(frame, (0, 0, 32, 32), b"flat")
+        out = denature_regions(frame, [(0, 0, 32, 32)], Scramble(b"flat"))
         counts = np.bincount(out.reshape(-1), minlength=256)
         expected = out.size / 256.0
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -253,16 +250,16 @@ class TestScramble:
     def test_box_clipped_to_frame(self):
         rng = np.random.default_rng(11)
         frame = rand_frame(rng, 16, 16)
-        scrambled = scramble_region(frame, (-5, -5, 8, 8), b"edge")
+        scrambled = denature_regions(frame, [(-5, -5, 8, 8)], Scramble(b"edge"))
         assert not np.array_equal(scrambled[:8, :8], frame[:8, :8])
         np.testing.assert_array_equal(scrambled[8:, :], frame[8:, :])
-        restored = unscramble_region(scrambled, (-5, -5, 8, 8), b"edge")
+        restored = descramble_regions(scrambled, [(-5, -5, 8, 8)], b"edge")
         np.testing.assert_array_equal(restored, frame)
 
     def test_box_fully_outside_is_noop(self):
         rng = np.random.default_rng(12)
         frame = rand_frame(rng, 8, 8)
-        out = scramble_region(frame, (50, 50, 60, 60), b"k")
+        out = denature_regions(frame, [(50, 50, 60, 60)], Scramble(b"k"))
         np.testing.assert_array_equal(out, frame)
 
 
@@ -276,6 +273,10 @@ class TestDenatureRegions:
     def test_rejects_non_uint8(self):
         with pytest.raises(ConfigError):
             denature_regions(np.zeros((8, 8, 3), dtype=np.float32), [], Pixelate(2))
+
+    def test_rejects_four_channels(self):
+        with pytest.raises(ConfigError, match="H,W,3"):
+            denature_regions(np.zeros((8, 8, 4), dtype=np.uint8), [(0, 0, 4, 4)], Pixelate(2))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -294,9 +295,11 @@ class TestOverflowingBox:
     def test_huge_expansion_redacts_and_descrambles(self):
         frame = rand_frame(np.random.default_rng(32), 12, 16)
         policy = RedactionPolicy(box_expansion=1e308)
-        out, log = apply_policy(frame, [((4, 4, 8, 8), "child", 0.9)], policy, Scramble(b"k"))
+        faces = [((4, 4, 8, 8), "child", 0.9, False)]
+        out, log = apply_policy(frame, faces, policy, Scramble(b"k"))
         assert log[0]["box"] == [0.0, 0.0, 16.0, 12.0]  # the grown box clamped to the frame
-        np.testing.assert_array_equal(out, scramble_region(frame, (0, 0, 16, 12), b"k"))
+        whole = denature_regions(frame, [(0, 0, 16, 12)], Scramble(b"k"))
+        np.testing.assert_array_equal(out, whole)
         restored = descramble_regions(out, [entry["box"] for entry in log], b"k")
         np.testing.assert_array_equal(restored, frame)
 
@@ -340,7 +343,7 @@ class TestApplyPolicy:
     def test_only_policy_labels_redacted(self):
         rng = np.random.default_rng(14)
         frame = rand_frame(rng, 40, 40)
-        faces = [((2, 2, 18, 18), "child", 0.9), ((22, 22, 38, 38), "adult", 0.8)]
+        faces = [((2, 2, 18, 18), "child", 0.9, False), ((22, 22, 38, 38), "adult", 0.8, False)]
         policy = RedactionPolicy(box_expansion=0.0)
         out, log = apply_policy(frame, faces, policy, Scramble(b"k"))
         assert not np.array_equal(out[2:18, 2:18], frame[2:18, 2:18])
@@ -352,7 +355,7 @@ class TestApplyPolicy:
     def test_both_labels(self):
         rng = np.random.default_rng(15)
         frame = rand_frame(rng, 40, 40)
-        faces = [((2, 2, 18, 18), "child"), ((22, 22, 38, 38), "adult")]
+        faces = [((2, 2, 18, 18), "child", 0.0, False), ((22, 22, 38, 38), "adult", 0.0, False)]
         policy = RedactionPolicy(labels={"child", "adult"}, box_expansion=0.0)
         out, log = apply_policy(frame, faces, policy, Pixelate(8))
         assert len(log) == 2
@@ -374,14 +377,15 @@ class TestApplyPolicy:
     def test_unlabeled_face_untouched(self):
         rng = np.random.default_rng(17)
         frame = rand_frame(rng)
-        out, log = apply_policy(frame, [((0, 0, 16, 16), None)], RedactionPolicy(), Pixelate(2))
+        faces = [((0, 0, 16, 16), None, 0.0, False)]
+        out, log = apply_policy(frame, faces, RedactionPolicy(), Pixelate(2))
         assert log == []
         np.testing.assert_array_equal(out, frame)
 
     def test_box_expansion_applied(self):
         rng = np.random.default_rng(18)
         frame = rand_frame(rng, 40, 40)
-        faces = [((10, 10, 30, 30), "child")]
+        faces = [((10, 10, 30, 30), "child", 0.0, False)]
         policy = RedactionPolicy(box_expansion=0.5)  # grows to (5, 5, 35, 35)
         out, log = apply_policy(frame, faces, policy, Scramble(b"grow"))
         assert log[0]["box"] == [5.0, 5.0, 35.0, 35.0]
@@ -395,7 +399,7 @@ class TestApplyPolicy:
         frame = rand_frame(rng, 40, 40)
         box = (6 + eps, 7 - eps, 27 + eps, 30 - eps)
         policy = RedactionPolicy(box_expansion=0.0)
-        out, log = apply_policy(frame, [(box, "child", 0.9)], policy, Scramble(b"exact"))
+        out, log = apply_policy(frame, [(box, "child", 0.9, False)], policy, Scramble(b"exact"))
         assert log[0]["box"] == list(box)
         np.testing.assert_array_equal(out, denature_regions(frame, [box], Scramble(b"exact")))
         logged = [e["box"] for e in log]
@@ -405,8 +409,8 @@ class TestApplyPolicy:
         rng = np.random.default_rng(19)
         frame = rand_frame(rng, 30, 30)
         faces = [
-            ((0, 0, 20, 20), "child", 0.2),
-            ((10, 10, 30, 30), "child", 0.7),
+            ((0, 0, 20, 20), "child", 0.2, False),
+            ((10, 10, 30, 30), "child", 0.7, False),
         ]
         policy = RedactionPolicy(box_expansion=0.0)
         out, log = apply_policy(frame, faces, policy, Scramble(b"order"))
@@ -419,7 +423,7 @@ class TestApplyPolicy:
     def test_deterministic(self):
         rng = np.random.default_rng(20)
         frame = rand_frame(rng)
-        faces = [((0, 0, 16, 16), "child", 0.5), ((8, 8, 28, 28), "child", 0.5)]
+        faces = [((0, 0, 16, 16), "child", 0.5, False), ((8, 8, 28, 28), "child", 0.5, False)]
         a, _ = apply_policy(frame, faces, RedactionPolicy(), Blur(1.5))
         b, _ = apply_policy(frame, faces, RedactionPolicy(), Blur(1.5))
         np.testing.assert_array_equal(a, b)

@@ -92,7 +92,6 @@ class TestDetectorConfig:
             {"scale_factor": 0.0},
             {"thresholds": (0.5, 0.5)},
             {"thresholds": (0.5, 0.5, 1.5)},
-            {"nms_stage1": -0.1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faceveil.denature import expand_box
 from faceveil.detect import Detection, FaceBox
 from faceveil.embed import CHIP_SIZE, FaceChip, align_crop, embed_chip
 from faceveil.errors import ConfigError, DegenerateInputError, InvariantError
@@ -59,7 +60,7 @@ class TestAlignCrop:
         img = np.zeros((3, 100, 100), dtype=np.float32)
         img[:, 40:60, 40:60] = 255.0
         tight = align_crop(img, (40, 40, 60, 60), 20)
-        loose = align_crop(img, (40, 40, 60, 60), 20, margin=1.0)
+        loose = align_crop(img, expand_box((40, 40, 60, 60), 1.0), 20)
         assert loose.box == (30.0, 30.0, 70.0, 70.0)
         # the loose chip sees background, the tight one does not
         assert tight.pixels.min() > 0.9

@@ -217,3 +217,12 @@ class TestProbeError:
         # |2g - g| / (|2g| + |g|) = 1/3 at every coordinate
         x, loss, grad = self._quadratic()
         assert probe_error(loss, x, 2.0 * grad, [0, 5, 11]) == pytest.approx(1 / 3, rel=1e-6)
+
+    def test_writes_through_a_transposed_array(self):
+        # a transposed array is not C-contiguous, so reshape(-1) would copy it
+        rng = np.random.default_rng(41)
+        x, t = rng.normal(size=(4, 6)), rng.normal(size=(6, 4))
+        transposed = grad_check(lambda p: box_loss(p, t), x.T)
+        contiguous = grad_check(lambda p: box_loss(p, t), np.ascontiguousarray(x.T))
+        assert transposed == contiguous
+        assert transposed < 1e-6

@@ -1,10 +1,13 @@
-"""The benchmark's tracer times the program by patching its functions.
+"""The benchmark reaches into the program by name: it imports faceveil's
+functions and its tracer times them by patching.
 
 A patch target that the program no longer has is skipped at run time and
 only listed under ``not_traced``, so a refactor could silently drop a
-traced span.  This pins every target to an attribute that exists.
+traced span; an import that no longer resolves would only surface as a
+failed benchmark run.  These pin both to names that exist.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -23,3 +26,27 @@ def test_every_trace_hook_names_an_attribute(monkeypatch):
         if attr not in vars(owner)
     }
     assert missing == KNOWN_STALE
+
+
+def _resolves(module_name, name):
+    """Whether ``from module_name import name`` would succeed."""
+    if hasattr(importlib.import_module(module_name), name):
+        return True
+    try:  # a package's submodule is imported on demand
+        importlib.import_module(f"{module_name}.{name}")
+    except ModuleNotFoundError:
+        return False
+    return True
+
+
+def test_every_perfbench_import_resolves():
+    imported, missing = [], []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "faceveil":
+                for alias in node.names:
+                    imported.append(f"{path.name}: {node.module}.{alias.name}")
+                    if not _resolves(node.module, alias.name):
+                        missing.append(imported[-1])
+    assert len(imported) > 20  # the walk found perfbench's imports
+    assert missing == []

@@ -229,6 +229,14 @@ class TestProcessFrame:
             assert any(f["redacted"] for f in child_faces)
             assert not np.array_equal(out, frame)
 
+    def test_frame_checked_before_detection(self, pipeline, portrait_frame, monkeypatch):
+        calls = []
+        monkeypatch.setattr("faceveil.pipeline.detect_faces", lambda *a, **k: calls.append(a))
+        frame, _, _ = portrait_frame
+        with pytest.raises(ConfigError, match="H,W,3"):
+            pipeline.process_frame(frame.astype(np.float64))
+        assert calls == []
+
     def test_no_faces_report(self, toy_weights, gallery20):
         pipe = Pipeline(toy_weights, gallery20, pipe_config())
         blank = np.full((48, 48, 3), 120, dtype=np.uint8)
@@ -271,9 +279,12 @@ class TestProcessFrame:
 
         def run():
             pipe = Pipeline(toy_weights, gallery20, cfg)
-            buf = io.StringIO()
-            outs = [f.tobytes() for f in pipe.process_stream(frames, report_file=buf)]
-            return buf.getvalue(), outs
+            lines, outs = [], []
+            for i, frame in enumerate(frames):
+                out, report = pipe.process_frame(frame, i)
+                lines.append(report_line(report) + "\n")
+                outs.append(out.tobytes())
+            return "".join(lines), outs
 
         text_a, outs_a = run()
         text_b, outs_b = run()
@@ -430,7 +441,7 @@ class TestEvaluateHelpers:
 class TestBench:
     def test_stats_shape(self, pipeline, portrait_frame):
         frame, _, _ = portrait_frame
-        stats = bench([frame], pipeline, repeats=2)
+        stats = bench([frame, frame], pipeline)
         assert stats["frames"] == 2
         for key in ("detect_ms", "embed_ms", "classify_ms", "denature_ms", "total_ms"):
             entry = stats[key]

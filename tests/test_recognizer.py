@@ -75,6 +75,20 @@ class TestBuildGallery:
         assert g.vectors_for(CHILD).shape == (2, 128)
         assert g.vectors_for(ADULT).shape == (5, 128)
 
+    def test_vectors_for_keeps_gallery_order(self):
+        rng = np.random.default_rng(4)
+        labels = [ADULT, CHILD, ADULT, ADULT, CHILD]
+        rows = unit_rows(rng, len(labels))
+        g = build_gallery(zip(labels, rows))
+        for label in (CHILD, ADULT):
+            want = g.vectors[[lb == label for lb in labels]]
+            got = g.vectors_for(label)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+            assert got is g.vectors_for(label)  # split once per gallery
+        assert g.vectors_for("minor").shape == (0, 128)
+        assert build_gallery([(ADULT, rows[0])]).vectors_for(CHILD).shape == (0, 128)
+
 
 class TestGalleryBuild:
     def test_tolerates_bad_chips(self, embedder_training):
