@@ -112,8 +112,8 @@ class PReLU(Layer):
             raise ConfigError(f"{self.name}: {self.channels} slopes for input {in_shape}")
         return in_shape
 
-    def forward(self, x, params):
-        return ops.prelu(x, params[self.sname], layer=self.name)
+    def forward(self, x, params, inplace=False):
+        return ops.prelu(x, params[self.sname], layer=self.name, inplace=inplace)
 
     def backward(self, ctx, dy, params):
         dx, dslope = ops.prelu_backward(ctx, params[self.sname], dy)

@@ -13,6 +13,16 @@ spatial size at or above the declared input shape; all other networks
 require an exact match. ``batch_block`` is the batch size whose largest
 im2col buffer fits IM2COL_BYTES, so each convolution of a block is one
 GEMM; callers split longer batches into blocks of that size.
+
+``forward`` is inference and may reorder work where the values stay
+the same. A PReLU whose slopes are all > 0 is increasing, so it
+commutes with the max pool after it: ``forward`` pools first and runs
+the PReLU in place on the pooled map, which is a quarter of the size.
+The slopes are read on every call, and any slope <= 0 keeps the
+declared order. A PReLU after any other layer also runs in place on
+that layer's output. ``forward_train`` runs every layer in its
+declared order and out of place, because backward needs each layer's
+input.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from .layers import MaxPool2D, PReLU
 from .ops import IM2COL_BYTES
 
 
@@ -93,18 +104,18 @@ class Network:
 
     def forward(self, weights, x):
         """Run all heads on an (N,C,H,W) batch; returns {head name: (N, ...) array}."""
-        return self._run(x, lambda layer, y: (layer.forward(y, weights), None))[0]
+        self._check_input(x)
+        trunk_out = _infer(self.trunk, x.transpose(1, 0, 2, 3), weights)
+        return {head: np.moveaxis(_infer(layers, trunk_out, weights), 1, 0)
+                for head, layers in self.heads.items()}
 
     def forward_train(self, weights, x):
         """Like forward, but also returns the activation cache for backward."""
-        return self._run(x, lambda layer, y: layer.forward_train(y, weights))
-
-    def _run(self, x, step):
         self._check_input(x)
-        x, trunk_ctx = _chain(self.trunk, x.transpose(1, 0, 2, 3), step)
+        x, trunk_ctx = _chain(self.trunk, x.transpose(1, 0, 2, 3), weights)
         out, head_ctx = {}, {}
         for head, layers in self.heads.items():
-            y, head_ctx[head] = _chain(layers, x, step)
+            y, head_ctx[head] = _chain(layers, x, weights)
             out[head] = np.moveaxis(y, 1, 0)
         return out, {"trunk": trunk_ctx, "trunk_out": x, "heads": head_ctx}
 
@@ -128,11 +139,36 @@ class Network:
         return {name: g.astype(np.result_type(d_trunk)) for name, g in grads.items()}
 
 
-def _chain(layers, x, step):
-    """Run x through layers with step(layer, x) -> (y, ctx); returns (y, contexts)."""
+def _infer(layers, x, weights):
+    """Inference through layers, pooling before PReLU where that gives the same values.
+
+    Every layer returns a new array, so a PReLU may overwrite any input
+    but x itself: the caller's batch or the trunk output the heads share.
+    """
+    owned = False
+    i = 0
+    while i < len(layers):
+        layer = layers[i]
+        pool = layers[i + 1] if i + 1 < len(layers) else None
+        if (isinstance(layer, PReLU) and isinstance(pool, MaxPool2D)
+                and np.all(weights[layer.sname] > 0)):
+            # an increasing map commutes with max; a zero slope would not,
+            # since it sends -inf to NaN
+            x = layer.forward(pool.forward(x, weights), weights, inplace=True)
+            i += 2
+        else:
+            x = (layer.forward(x, weights, inplace=owned) if isinstance(layer, PReLU)
+                 else layer.forward(x, weights))
+            i += 1
+        owned = True
+    return x
+
+
+def _chain(layers, x, weights):
+    """Run x through layers' forward_train; returns (y, contexts for backward)."""
     ctxs = []
     for layer in layers:
-        x, ctx = step(layer, x)
+        x, ctx = layer.forward_train(x, weights)
         ctxs.append(ctx)
     return x, ctxs
 

@@ -13,6 +13,11 @@ and PReLU (leading-channel slopes), softmax(axis=0) and max pooling (last
 two axes) need no reshaping. The backward kernels take the same layout
 and sum parameter gradients over the batch: the conv weight gradient is
 one dy @ colsᵀ GEMM over all N samples.
+
+Two kernels give up the sign of a zero for speed, and only that: PReLU
+computes max(x, 0) + slope * min(x, 0), which gives +0.0 where
+``x if x >= 0 else slope * x`` gives -0.0, and max pooling takes each
+window's rows before its columns. NaN still propagates through both.
 """
 
 from __future__ import annotations
@@ -115,66 +120,88 @@ def check_pool(kernel, stride, layer="maxpool2d"):
         raise ConfigError(f"{layer}: need 1 <= stride <= kernel, got kernel {kernel}, stride {stride}")
 
 
-def _pool_windows(x, kernel, stride):
-    """x padded with -inf to whole windows, and each tap's (oh, ow) index into it."""
-    h, w = x.shape[2:]
-    oh = pool_output_size(h, kernel, stride)
-    ow = pool_output_size(w, kernel, stride)
-    xp = np.full(x.shape[:2] + ((oh - 1) * stride + kernel, (ow - 1) * stride + kernel), -np.inf,
-                 dtype=x.dtype)
-    xp[..., :h, :w] = x
-    taps = [(..., slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
-            for i in range(kernel) for j in range(kernel)]
-    return xp, taps
+def _pool_taps(n, kernel, stride):
+    """(offset, windows) of each tap along one axis of length n, ceil mode.
 
-
-def _window_max(xp, taps):
-    out = xp[taps[0]].copy()
-    for tap in taps[1:]:
-        np.maximum(out, xp[tap], out=out)
-    return out
+    Tap i reads pixel o*stride + i of window o; it reaches only the
+    windows in which that pixel exists, so a ceil-mode border window just
+    has fewer taps and nothing is padded. Tap 0 reaches every window,
+    since stride <= kernel.
+    """
+    on = pool_output_size(n, kernel, stride)
+    return [(i, min(on, -(-(n - i) // stride))) for i in range(min(kernel, n))]
 
 
 def maxpool2d(x, kernel, stride, layer="maxpool2d"):
-    """Max over kernel x kernel windows of a (C,N,H,W) batch's last two axes, ceil mode."""
+    """Max over kernel x kernel windows of a (C,N,H,W) batch's last two axes, ceil mode.
+
+    Max is exact and separable: one pass over each window's rows, then
+    one over its columns, each starting from a copy of the first tap.
+    That is 2*kernel strided passes instead of kernel**2; only the sign
+    of a zero maximum can depend on the order.
+    """
     _check_rank(x, (4,), layer)
     check_pool(kernel, stride, layer)
-    return _window_max(*_pool_windows(x, kernel, stride))
+    (_, oh), *rows = _pool_taps(x.shape[2], kernel, stride)
+    (_, ow), *cols = _pool_taps(x.shape[3], kernel, stride)
+    r = x[..., : stride * oh : stride, :].copy()
+    for i, n in rows:
+        np.maximum(r[..., :n, :], x[..., i : i + stride * n : stride, :], out=r[..., :n, :])
+    out = r[..., : stride * ow : stride].copy()
+    for j, n in cols:
+        np.maximum(out[..., :n], r[..., j : j + stride * n : stride], out=out[..., :n])
+    return out
 
 
 def maxpool2d_backward(x, dy, kernel, stride):
     """Route dy to the first maximum of each window (row-major tie break)."""
     _check_rank(x, (4,), "maxpool2d_backward")
-    xp, taps = _pool_windows(x, kernel, stride)
-    out = _window_max(xp, taps)
+    out = maxpool2d(x, kernel, stride, "maxpool2d_backward")
     left = np.ones(dy.shape, dtype=bool)  # windows whose maximum is not routed yet
-    dxp = np.zeros(xp.shape, dtype=dy.dtype)
-    for tap in taps:
-        hit = (xp[tap] == out) & left
-        left &= ~hit
-        dxp[tap] += np.where(hit, dy, 0)
-    return dxp[..., : x.shape[2], : x.shape[3]]
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    for i, rows in _pool_taps(x.shape[2], kernel, stride):
+        for j, cols in _pool_taps(x.shape[3], kernel, stride):
+            win = (..., slice(rows), slice(cols))
+            tap = (..., slice(i, i + stride * rows, stride), slice(j, j + stride * cols, stride))
+            hit = x[tap] == out[win]
+            hit &= left[win]
+            left[win] ^= hit
+            dx[tap] += np.where(hit, dy[win], 0)
+    return dx
 
 
-def prelu(x, slopes, layer="prelu"):
-    """x where x >= 0, slope * x elsewhere; one slope per leading-axis channel."""
+def prelu(x, slopes, layer="prelu", inplace=False):
+    """max(x, 0) + slope * min(x, 0); one slope per leading-axis channel.
+
+    That is x where x >= 0 and slope * x elsewhere, and NaN stays NaN.
+    The sign of a zero output may differ from that form: -0.0 can come
+    out as +0.0. With inplace, the result overwrites x when x already
+    has the result's dtype, so pass it only for an array nothing else reads.
+    """
     _check_rank(x, (2, 4), layer)
     if slopes.shape != (x.shape[0],):
         raise ConfigError(
             f"{layer}: {slopes.shape[0] if slopes.ndim == 1 else slopes.shape} slopes "
             f"for {x.shape[0]} channels"
         )
-    s = slopes.reshape((-1,) + (1,) * (x.ndim - 1))
-    return np.where(x >= 0, x, x * s)
+    dtype = np.result_type(x, slopes)
+    neg = np.minimum(x, 0, dtype=dtype)
+    neg *= slopes.reshape((-1,) + (1,) * (x.ndim - 1))
+    out = np.maximum(x, 0, out=x if inplace and x.dtype == dtype else None, dtype=dtype)
+    out += neg
+    return out
 
 
 def prelu_backward(x, slopes, dy):
     _check_rank(x, (2, 4), "prelu_backward")
     s = slopes.reshape((-1,) + (1,) * (x.ndim - 1))
     neg = x < 0
-    dx = dy * np.where(neg, s, np.ones((), dtype=dy.dtype))
-    dslopes = np.where(neg, dy * x, 0).reshape(x.shape[0], -1).sum(axis=1)
-    return dx, dslopes
+    # the slope map keeps the slopes' dtype, not dy's float64; numpy's
+    # masked ufunc loops (where=) measured slower than putmask
+    dx = dy * np.where(neg, s, np.ones((), dtype=s.dtype))
+    dslope_terms = dy * x
+    np.putmask(dslope_terms, ~neg, 0)
+    return dx, dslope_terms.reshape(x.shape[0], -1).sum(axis=1)
 
 
 def softmax(x, axis=0, layer="softmax"):

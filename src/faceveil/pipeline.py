@@ -17,9 +17,9 @@ import numpy as np
 
 from .denature import Pixelate, RedactionPolicy, apply_policy
 from .detect import DetectorConfig, detect_faces
-from .embed import FaceChip, align_crop, embed_chip
+from .embed import align_crop, embed_chip
 from .errors import ConfigError, DataError, InvariantError
-from .image import normalize_pixels, to_planar
+from .image import to_planar
 from .imgio import check_frame
 from .models import detector_nets, embedding_net
 from .recognize import LABELS, classify, compute_roc
@@ -180,21 +180,6 @@ class EvalSummary:
         }
 
 
-def _tally(pairs):
-    """(truth, predicted, score) stream -> (miss_count, confusion, roc)."""
-    miss, confusion, scores, labels = 0, {}, [], []
-    n = 0
-    for truth, predicted, score in pairs:
-        n += 1
-        miss += int(predicted != truth)
-        confusion[(truth, predicted)] = confusion.get((truth, predicted), 0) + 1
-        if score is not None:
-            scores.append(score)
-            labels.append(truth)
-    roc = compute_roc(scores, labels) if scores else None
-    return n, miss, confusion, roc
-
-
 def _finite(value):
     return type(value) in (int, float) and math.isfinite(value)
 
@@ -234,56 +219,23 @@ def evaluate_reports(reports, truth):
     if unknown:
         raise DataError(f"labels reference unknown samples: {', '.join(unknown)}")
 
-    def pairs():
-        for src, rep in zip(seen, reports):
-            faces = rep.get("faces") or []
-            if not faces:
-                yield truth[src], None, None
-                continue
+    miss, confusion, scores, labels = 0, {}, [], []
+    for src, rep in zip(seen, reports):
+        predicted = score = None
+        faces = rep.get("faces") or []
+        if faces:
             best = max(faces, key=lambda f: f["score"])
             if best.get("label") is None:
                 raise DataError(f"report {src!r} carries no classification; run with a gallery")
-            yield truth[src], best["label"], best.get("margin")
-
-    n, miss, confusion, roc = _tally(pairs())
-    return EvalSummary(n, miss, confusion, roc)
-
-
-def evaluate_chips(chips, labels, weights, gallery, chip_size=160, threshold=0.0):
-    """Classify pre-cropped face chips; returns an EvalSummary.
-
-    Chips carry raw 0..255 values, either planar (3, S, S) or as an
-    (S, S, 3) uint8 frame.
-    """
-    embedding_net(chip_size).check_weights(weights)
-    labels = list(labels)
-
-    def pairs():
-        for chip, truth in zip(chips, labels):
-            arr = np.asarray(chip)
-            planar = arr if arr.ndim == 3 and arr.shape[0] == 3 else to_planar(arr)
-            pix = normalize_pixels(planar)
-            emb = embed_chip(FaceChip(pix, (0, 0, pix.shape[2], pix.shape[1])), weights)
-            d = classify(emb, gallery, threshold)
-            yield truth, d.label, d.margin
-
-    n, miss, confusion, roc = _tally(pairs())
-    return EvalSummary(n, miss, confusion, roc)
-
-
-def evaluate_stream(frames, labels, pipeline):
-    """Run labeled frames through the pipeline and score its reports.
-
-    Scoring is evaluate_reports': the highest-scoring face represents
-    the frame, and frames with no face count as misses and stay out of
-    the ROC.  Frames and labels must pair up one to one.
-    """
-    labels = list(labels)
-    for truth in labels:
-        if truth not in LABELS:
-            raise DataError(f"unknown probe label {truth!r}")
-    reports = [pipeline.process_frame(frame, i)[1] for i, frame in enumerate(frames)]
-    return evaluate_reports(reports, {str(i): truth for i, truth in enumerate(labels)})
+            predicted, score = best["label"], best.get("margin")
+        want = truth[src]
+        miss += int(predicted != want)
+        confusion[(want, predicted)] = confusion.get((want, predicted), 0) + 1
+        if score is not None:
+            scores.append(score)
+            labels.append(want)
+    roc = compute_roc(scores, labels) if scores else None
+    return EvalSummary(len(reports), miss, confusion, roc)
 
 
 def bench(frames, pipeline):

@@ -11,6 +11,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # detect cuts its crops with crop_resize_batch; the hook is left for a
@@ -50,3 +52,23 @@ def test_every_perfbench_import_resolves():
                         missing.append(imported[-1])
     assert len(imported) > 20  # the walk found perfbench's imports
     assert missing == []
+
+
+def test_traced_layer_spans_count_every_layer(monkeypatch):
+    # Network.forward may reorder PReLU and pooling, but every layer must
+    # still run through the methods the tracer patches, once per call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    from faceveil.models import detector_nets, embedding_net
+    from faceveil.nn import MaxPool2D, PReLU
+
+    for net in (*detector_nets().values(), embedding_net(32)):
+        weights = net.init_weights(np.random.default_rng(0))
+        x = np.random.default_rng(1).uniform(-1, 1, size=(2,) + net.input_shape).astype(np.float32)
+        with tracer.Tracer() as t:
+            net.forward(weights, x)
+            spans, _ = t.take()
+        layers = [*net.trunk, *(layer for head in net.heads.values() for layer in head)]
+        for span, kind in (("nn.prelu", PReLU), ("nn.pool", MaxPool2D)):
+            want = sum(isinstance(layer, kind) for layer in layers)
+            assert spans.get(span, [0])[0] == want, (net.name, span)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TOY_CHIP, chip_batch
+from conftest import TOY_CHIP
 from faceveil.denature import Pixelate, RedactionPolicy, Scramble
 from faceveil.detect import DetectorConfig
 from faceveil.errors import ConfigError, DataError, InvariantError
@@ -23,9 +23,7 @@ from faceveil.pipeline import (
     PipelineConfig,
     bench,
     check_timing,
-    evaluate_chips,
     evaluate_reports,
-    evaluate_stream,
     report_line,
 )
 from faceveil.recognize import ADULT, CHILD
@@ -407,35 +405,6 @@ class TestEvaluateReports:
         # the higher-scoring face decides; pad with an adult so ROC has both classes
         s = evaluate_reports([rep, report_for("y", ADULT, -0.5)], {"x": CHILD, "y": ADULT})
         assert s.miss_count == 0
-
-
-class TestEvaluateHelpers:
-    def test_evaluate_chips_on_toy_embedder(self, embedder_training, gallery20):
-        raw, labels = chip_batch(seed=77, n=60)
-        s = evaluate_chips(raw, labels, embedder_training["result"].weights, gallery20,
-                           chip_size=TOY_CHIP)
-        assert s.total == 60
-        assert s.accuracy >= 0.9
-        assert s.auc is not None and s.auc >= 0.9
-
-    def test_evaluate_stream_counts_blank_frames_as_misses(self, pipeline):
-        rng = np.random.default_rng(62)
-        frames = [to_frame(make_portrait(rng, CHILD, 64)[0]),
-                  np.full((48, 48, 3), 128, dtype=np.uint8),
-                  to_frame(make_portrait(rng, ADULT, 64)[0])]
-        labels = [CHILD, ADULT, ADULT]
-        s = evaluate_stream(frames, labels, pipeline)
-        assert s.total == 3
-        assert s.confusion.get((ADULT, None), 0) == 1
-
-    def test_evaluate_stream_rejects_bad_label(self, pipeline):
-        with pytest.raises(DataError):
-            evaluate_stream([], ["toddler"], pipeline)
-
-    def test_evaluate_stream_rejects_labels_without_frames(self, pipeline):
-        frame = np.full((48, 48, 3), 128, dtype=np.uint8)
-        with pytest.raises(DataError):
-            evaluate_stream([frame], [CHILD, ADULT], pipeline)
 
 
 class TestBench:

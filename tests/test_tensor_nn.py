@@ -159,6 +159,31 @@ class TestMaxPool:
         for n in range(batch.shape[1]):
             np.testing.assert_array_equal(got[:, n], oracles.maxpool_direct(batch[:, n], 3, 2))
 
+    @pytest.mark.parametrize("kernel, stride", [(k, s) for k in (1, 2, 3) for s in range(1, k + 1)])
+    def test_every_small_size_against_window_scan(self, kernel, stride):
+        # ceil-mode border windows, and inputs smaller than one window
+        rng = np.random.default_rng(10 * kernel + stride)
+        for h, w in itertools.product(range(1, 10), repeat=2):
+            x = rng.normal(size=(2, 2, h, w))  # (C, N, H, W)
+            got = maxpool2d(x, kernel, stride)
+            for n in range(2):
+                np.testing.assert_array_equal(got[:, n], oracles.maxpool_direct(x[:, n], kernel, stride))
+
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 2), (3, 1)])
+    def test_backward_routes_to_first_maximum(self, kernel, stride):
+        # few distinct values make ties; integer gradients sum exactly in any order
+        rng = np.random.default_rng(kernel + 7 * stride)
+        for h, w in [(4, 4), (5, 7), (9, 6), (2, 3)]:
+            x = rng.integers(0, 3, size=(2, 3, h, w)).astype(float)
+            out = maxpool2d(x, kernel, stride)
+            dy = rng.integers(1, 9, size=out.shape).astype(float)
+            want = np.zeros_like(x)
+            for c, n, oy, ox in np.ndindex(out.shape):
+                window = x[c, n, oy * stride : oy * stride + kernel, ox * stride : ox * stride + kernel]
+                i, j = np.unravel_index(np.argmax(window), window.shape)  # first in row-major order
+                want[c, n, oy * stride + i, ox * stride + j] += dy[c, n, oy, ox]
+            np.testing.assert_array_equal(maxpool2d_backward(x, dy, kernel, stride), want)
+
 
 class TestActivations:
     def test_prelu_example(self):
@@ -171,6 +196,30 @@ class TestActivations:
         out = prelu(x, np.array([0.1, 0.5]))
         np.testing.assert_allclose(out[0], -0.1)
         np.testing.assert_allclose(out[1], -0.5)
+
+    def test_prelu_against_branch_form(self):
+        # special values, per-channel and negative slopes; a zero's sign may differ
+        v = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -2.5, 3.0, -1e-45, 3e37], dtype=np.float32)
+        slopes = np.array([0.25, -0.5, 1.5], dtype=np.float32)
+        for x in (np.stack([v, v[::-1], -v]).reshape(3, 1, 1, 9), np.stack([v, v[::-1], -v])):
+            want = np.where(x >= 0, x, x * slopes.reshape((3,) + (1,) * (x.ndim - 1)))
+            got = prelu(x, slopes)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)  # NaN matches NaN, -0.0 matches 0.0
+            assert np.all(got[np.signbit(got) != np.signbit(want)] == 0)
+
+    def test_prelu_in_place_only_when_dtype_allows(self):
+        x = np.array([[-2.0, 3.0], [4.0, -1.0]], dtype=np.float32)
+        slopes32 = np.array([0.5, 0.25], dtype=np.float32)
+        expected = prelu(x, slopes32)
+        y = x.copy()
+        assert prelu(y, slopes32, inplace=True) is y
+        np.testing.assert_array_equal(y, expected)
+        y = x.copy()
+        wide = prelu(y, slopes32.astype(np.float64), inplace=True)  # float64 result
+        assert wide.dtype == np.float64
+        np.testing.assert_array_equal(y, x)
+        np.testing.assert_array_equal(prelu(x, slopes32), expected)  # not in place by default
 
     def test_softmax_uniform(self):
         np.testing.assert_allclose(softmax(np.array([[0.0], [0.0]])), [[0.5], [0.5]])
@@ -381,6 +430,43 @@ class TestNetwork:
         for name, g in batch.items():
             assert g.dtype == np.float64
             np.testing.assert_allclose(g, total[name], rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("slope", [None, -0.1, 0.0], ids=["toy", "negative", "zero"])
+    @pytest.mark.parametrize("net", [detector_nets()["pnet"], detector_nets()["rnet"],
+                                     detector_nets()["onet"], embedding_net(32)],
+                             ids=lambda n: n.name)
+    def test_forward_matches_layer_by_layer(self, net, slope):
+        # forward pools before PReLU where every slope is > 0 and runs PReLU
+        # in place; forward_train runs each layer in order, out of place
+        weights = net.init_weights(np.random.default_rng(13))
+        if slope is not None:  # the first pooled PReLU keeps its declared order
+            prelu_layer = next(a for a, b in zip(net.trunk, net.trunk[1:])
+                               if isinstance(a, PReLU) and isinstance(b, MaxPool2D))
+            weights[prelu_layer.sname] = weights[prelu_layer.sname].copy()
+            weights[prelu_layer.sname][::2] = slope
+        x = np.random.default_rng(14).uniform(-1, 1, size=(3,) + net.input_shape).astype(np.float32)
+        before = x.copy()
+        got = net.forward(weights, x)
+        want, _ = net.forward_train(weights, x)
+        assert set(got) == set(want)
+        for head in want:
+            assert got[head].dtype == want[head].dtype
+            assert got[head].tobytes() == want[head].tobytes(), head
+        np.testing.assert_array_equal(x, before)
+
+    def test_forward_leaves_input_and_shared_trunk_output(self):
+        # a PReLU first in the trunk or in a head must not overwrite what it reads
+        net = Network("t", (2, 6, 6), [PReLU("p0", 2), Conv2D("c", 2, 3, 3)],
+                      {"a": [PReLU("pa", 3)], "b": [PReLU("pb", 3), MaxPool2D(2, 2)]})
+        weights = net.init_weights(np.random.default_rng(15))
+        weights["pa.slope"] = np.array([0.1, 0.2, 0.3], dtype=np.float32)
+        x = np.random.default_rng(16).uniform(-1, 1, size=(2, 2, 6, 6)).astype(np.float32)
+        before = x.copy()
+        got = net.forward(weights, x)
+        want, _ = net.forward_train(weights, x)
+        np.testing.assert_array_equal(x, before)
+        for head in want:
+            assert got[head].tobytes() == want[head].tobytes(), head
 
     def test_missing_weight_detected(self):
         net = proposal_net()
