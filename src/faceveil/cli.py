@@ -361,6 +361,8 @@ def _cmd_bench(args):
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{args.config}: {e}") from None
+        except UnicodeDecodeError:
+            raise DataError(f"{args.config}: not UTF-8 text") from None
     if not isinstance(raw, dict) or "weights" not in raw or "input" not in raw:
         raise ConfigError(f"{args.config} must be a JSON object with weights and input")
     unknown = sorted(raw.keys() - _CONFIG_KEYS.keys() - {"weights", "input", "gallery"})

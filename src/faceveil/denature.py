@@ -2,9 +2,9 @@
 
 Three methods: pixelate (tile means, idempotent), Gaussian blur
 (separable, edge-replicated inside the region), and keyed scramble
-(pixel permutation plus XOR, both driven by a SHA-256 counter
-keystream, exactly invertible with the key).  The keystream is built
-from hashlib only, so outputs never depend on numpy's RNG internals.
+(pixel permutation plus XOR, exactly invertible with the key): scheme v2
+sorts SHAKE-256 keys; v1 (SHA-256 counter, Fisher-Yates) only decodes old
+frames.  Keystreams come from hashlib only, never from numpy's RNG.
 
 Each method obscures one region (``obscure``); one region loop,
 ``_each_region``, runs it, or the inverse scramble, over the clipped
@@ -78,10 +78,10 @@ class Scramble:
             raise ConfigError("scramble key must be non-empty bytes")
 
     def obscure(self, region):
-        """Permute the region's pixels, then XOR their bytes; ``_unscramble`` inverts it."""
-        h, w, c = region.shape
-        shuffled = region.reshape(h * w, c)[_permutation(h * w, self.key, (h, w))]
-        return _xor_bytes(shuffled.reshape(-1), self.key, (h, w)).reshape(h, w, c)
+        """Permute the region's pixels, then XOR their bytes (scheme v2)."""
+        perm, pad = _keystream(self.key, region.shape)
+        shuffled = region.reshape(pad.shape)[perm]
+        return np.bitwise_xor(shuffled, pad, out=shuffled).reshape(region.shape)
 
 
 @dataclass(frozen=True)
@@ -133,8 +133,36 @@ def gaussian_kernel(sigma):
     return k / k.sum()
 
 
+SCRAMBLE_VERSION = 2  # the scheme Scramble writes, recorded in its redaction log
+
+
+def _keystream(key, shape):
+    """Scheme v2 (permutation, (h*w, c) XOR pad) of an (h, w, c) region; see README.
+
+    Without a tied key every sort gives the stable order, so the stable sort
+    (about 5x slower) runs only on a tie.
+    """
+    n, c = shape[0] * shape[1], shape[2]
+    seed = len(key).to_bytes(8, "little") + key + b"scramble2|%dx%dx%d" % shape
+    stream = hashlib.shake_256(seed).digest(8 * n + c * n)
+    sort_keys = np.frombuffer(stream, "<u8", count=n)
+    perm = np.argsort(sort_keys)
+    ordered = sort_keys[perm]
+    if (ordered[1:] == ordered[:-1]).any():
+        perm = np.argsort(sort_keys, kind="stable")
+    return perm, np.frombuffer(stream, np.uint8, offset=8 * n).reshape(n, c)
+
+
+def _unscramble(region, key):
+    """Scramble(key).obscure undone: XOR the bytes again, then put each pixel back."""
+    perm, pad = _keystream(key, region.shape)
+    out = np.empty_like(pad)
+    out[perm] = region.reshape(pad.shape) ^ pad
+    return out.reshape(region.shape)
+
+
 class _KeyStream:
-    """Deterministic byte stream: SHA-256(key | tag | counter), counter LE u64."""
+    """Scheme v1 (decode only): SHA-256(key | tag | counter), counter LE u64."""
 
     def __init__(self, key, tag):
         self._prefix = bytes(key) + b"|" + tag + b"|"
@@ -185,16 +213,11 @@ def _permutation(n, key, shape):
     return np.array(perm, dtype=np.int64)
 
 
-def _xor_bytes(flat, key, shape):
-    ks = _KeyStream(key, b"xor|%dx%d" % shape)
-    pad = np.frombuffer(ks.take(flat.size), dtype=np.uint8)
-    return flat ^ pad
-
-
-def _unscramble(region, key):
-    """Scramble(key).obscure undone: XOR the bytes again, then put each pixel back."""
+def _unscramble_v1(region, key):
+    """Undo a scheme v1 scramble: SHA-256 counter XOR, then Fisher-Yates."""
     h, w, c = region.shape
-    unxored = _xor_bytes(region.reshape(-1), key, (h, w)).reshape(h * w, c)
+    pad = _KeyStream(key, b"xor|%dx%d" % (h, w)).take(region.size)
+    unxored = region.reshape(h * w, c) ^ np.frombuffer(pad, np.uint8).reshape(h * w, c)
     out = np.empty_like(unxored)
     out[_permutation(h * w, key, (h, w))] = unxored
     return out.reshape(h, w, c)
@@ -232,10 +255,13 @@ def denature_regions(frame, boxes, method):
     return _each_region(frame, boxes, method.obscure)
 
 
-def descramble_regions(frame, boxes, key):
-    """Exact inverse of Scramble over the same boxes and key."""
+def descramble_regions(frame, boxes, key, version=SCRAMBLE_VERSION):
+    """Exact inverse of Scramble over the same boxes and key, in the logged scheme ``version``."""
+    unscramble = {1: _unscramble_v1, 2: _unscramble}.get(version)
+    if unscramble is None:
+        raise ConfigError(f"unknown scramble version {version!r}; known: 1, 2")
     # undo in reverse order so stacked overlapping boxes unwind correctly
-    return _each_region(frame, reversed(list(boxes)), lambda region: _unscramble(region, key))
+    return _each_region(frame, reversed(list(boxes)), lambda region: unscramble(region, key))
 
 
 def expand_box(box, fraction):
@@ -252,7 +278,8 @@ def apply_policy(frame, faces, policy, method):
     ``faces`` holds (box, label, score, tie) tuples.  Overlapping regions
     are applied in descending score order so the result is deterministic.
     The log lists one dict per redacted face with the original index, the
-    expanded box clamped to the frame and the reason ("label" or "tie").
+    expanded box clamped to the frame and the reason ("label" or "tie");
+    a Scramble entry also names its scheme (``"scramble": 2``).
     Logged boxes are finite and cover exactly the pixels that were
     redacted, so ``descramble_regions`` with them restores the frame bit
     for bit.
@@ -270,8 +297,10 @@ def apply_policy(frame, faces, policy, method):
     selected.sort(key=lambda s: (s[0], s[1]))
     out = denature_regions(frame, [s[2] for s in selected], method)
     h, w = out.shape[:2]
+    scheme = {"scramble": SCRAMBLE_VERSION} if isinstance(method, Scramble) else {}
     log = [
-        {"index": i, "box": list(_clamp_box(grown, h, w)), "label": label, "reason": reason}
+        {"index": i, "box": list(_clamp_box(grown, h, w)), "label": label, "reason": reason,
+         **scheme}
         for _, i, grown, label, reason in selected
     ]
     return out, log

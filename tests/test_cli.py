@@ -590,6 +590,13 @@ class TestBenchCommand:
         cfg.write_text("{nope")
         assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 2
 
+    def test_config_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.json"
+        cfg.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert err == f"faceveil: {cfg}: not UTF-8 text\n"
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -2,10 +2,12 @@
 that decides who gets obscured."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from faceveil import denature
 from faceveil.denature import (
     MAX_BLUR_SIGMA,
     Blur,
@@ -152,7 +154,6 @@ class TestScramble:
         np.testing.assert_array_equal(restored, frame)
 
     def test_round_trip_box_over_256x256(self):
-        # the top 260 * 258 - 65536 draws of this box are 3 bytes wide
         rng = np.random.default_rng(16)
         frame = rand_frame(rng, 270, 266)
         box = (3, 5, 261, 265)
@@ -192,12 +193,13 @@ class TestScramble:
         ids=["2x2", "23x17", "16x16", "1x257", "257x256"],
     )
     def test_matches_specified_keystream(self, h, w):
-        # independent re-derivation: SHA-256(key | tag | LE u64 counter)
-        # keystream, Fisher-Yates permutation by rejection-sampled bytes,
-        # then XOR of the shuffled pixel bytes; 23x17 spans 37 pad blocks
-        # and draws 2-byte indices, 16x16 draws only 1-byte indices, 1x257
-        # one 2-byte draw then 1-byte draws, and 257x256 3-byte draws for
-        # its top 256 indices
+        # scheme v1, which Scramble no longer writes, must still decode.
+        # Independent re-derivation of a v1 frame: SHA-256(key | tag | LE
+        # u64 counter) keystream, Fisher-Yates permutation by
+        # rejection-sampled bytes, then XOR of the shuffled pixel bytes;
+        # 23x17 spans 37 pad blocks and draws 2-byte indices, 16x16 draws
+        # only 1-byte indices, 1x257 one 2-byte draw then 1-byte draws, and
+        # 257x256 3-byte draws for its top 256 indices
         key = b"vector"
         frame = (np.arange(h * w * 3) % 256).astype(np.uint8).reshape(h, w, 3)
 
@@ -228,8 +230,81 @@ class TestScramble:
         pad = bytes(next(xor_gen) for _ in range(shuffled.size))
         want = (shuffled ^ np.frombuffer(pad, dtype=np.uint8)).reshape(h, w, 3)
 
+        restored = descramble_regions(want, [(0, 0, w, h)], key, version=1)
+        np.testing.assert_array_equal(restored, frame)
+
+    @pytest.mark.parametrize(
+        "h, w", [(2, 2), (23, 17), (1, 257), (257, 256)], ids=["2x2", "23x17", "1x257", "257x256"]
+    )
+    def test_matches_specified_keystream_v2(self, h, w):
+        # independent re-derivation: SHAKE-256(len(key) as LE u64 | key |
+        # "scramble2|HxWx3"); its first 8 bytes per pixel are LE u64 sort
+        # keys, sorted with ties by pixel index into the permutation, and
+        # its next 3 bytes per pixel XOR the shuffled pixel bytes
+        key = b"vector"
+        n = h * w
+        frame = (np.arange(n * 3) % 256).astype(np.uint8).reshape(h, w, 3)
+        seed = len(key).to_bytes(8, "little") + key + f"scramble2|{h}x{w}x3".encode()
+        stream = hashlib.shake_256(seed).digest(11 * n)
+        sort_keys = [int.from_bytes(stream[8 * i : 8 * i + 8], "little") for i in range(n)]
+        perm = sorted(range(n), key=lambda i: (sort_keys[i], i))
+        shuffled = frame.reshape(n, 3)[perm].reshape(-1)
+        want = (shuffled ^ np.frombuffer(stream[8 * n :], dtype=np.uint8)).reshape(h, w, 3)
+
         got = denature_regions(frame, [(0, 0, w, h)], Scramble(key))
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(descramble_regions(got, [(0, 0, w, h)], key), frame)
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_version_rejected(self, version):
+        frame = np.zeros((4, 4, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="scramble version"):
+            descramble_regions(frame, [(0, 0, 4, 4)], b"k", version=version)
+
+    @staticmethod
+    def _shuffled_ids(ids, key):
+        # a region and a zero region of the same shape share the keystream,
+        # so XORing their outputs cancels the pad and leaves the shuffle
+        h, w = ids.shape[:2]
+        frame = np.concatenate([ids, np.zeros_like(ids)], axis=1)
+        out = denature_regions(frame, [(0, 0, w, h), (w, 0, 2 * w, h)], Scramble(key))
+        return (out[:, :w] ^ out[:, w:]).reshape(h * w, 3).astype(np.int64)
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 300), (300, 1), (257, 256)])
+    def test_pixels_move_by_a_permutation(self, h, w):
+        n = h * w
+        ids = np.arange(n)
+        region = np.stack([ids & 255, (ids >> 8) & 255, ids >> 16], axis=-1)
+        got = self._shuffled_ids(region.astype(np.uint8).reshape(h, w, 3), b"perm")
+        np.testing.assert_array_equal(np.sort(got[:, 0] | got[:, 1] << 8 | got[:, 2] << 16), ids)
+
+    def test_orderings_of_2x2_uniform(self):
+        # 2400 keys, 100 expected per ordering of the 4 pixels
+        ids = np.arange(4, dtype=np.uint8).reshape(2, 2, 1).repeat(3, axis=2)
+        counts = Counter(
+            tuple(self._shuffled_ids(ids, b"order%d" % k)[:, 0]) for k in range(2400)
+        )
+        assert len(counts) == 24
+        chi2 = sum((c - 100) ** 2 / 100 for c in counts.values())
+        assert chi2 < 49.73  # 0.999 quantile of chi-square with 23 dof
+
+    def test_tied_sort_keys_break_by_pixel_index(self, monkeypatch):
+        # ties never occur in practice, so feed keys with many: i % 5
+        n = 64 * 64
+        sort_keys = (np.arange(n, dtype="<u8") % 5).tobytes()
+
+        class Stream:
+            def __init__(self, seed):
+                pass
+
+            def digest(self, size):
+                return sort_keys + bytes(size - len(sort_keys))
+
+        monkeypatch.setattr(denature.hashlib, "shake_256", Stream)
+        frame = rand_frame(np.random.default_rng(5), 64, 64)
+        out = denature_regions(frame, [(0, 0, 64, 64)], Scramble(b"k"))
+        perm = sorted(range(n), key=lambda i: (i % 5, i))
+        np.testing.assert_array_equal(out.reshape(n, 3), frame.reshape(n, 3)[perm])
 
     def test_constant_region_histogram_uniform(self):
         frame = np.full((32, 32, 3), 128, dtype=np.uint8)

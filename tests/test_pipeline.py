@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import TOY_CHIP
-from faceveil.denature import Pixelate, RedactionPolicy, Scramble
+from faceveil.denature import Pixelate, RedactionPolicy, Scramble, descramble_regions
 from faceveil.detect import DetectorConfig
 from faceveil.errors import ConfigError, DataError, InvariantError
 from faceveil.image import to_frame
@@ -291,6 +291,25 @@ class TestProcessFrame:
         for line in text_a.splitlines():
             report = json.loads(line)
             assert "timing_ms" not in report
+
+    @pytest.mark.parametrize("method, scheme", [(Scramble(b"k"), {"scramble": 2}), (Pixelate(), {})])
+    def test_redactions_name_the_scramble_scheme(self, toy_weights, gallery20, portrait_frame,
+                                                method, scheme):
+        every = RedactionPolicy(labels={CHILD, ADULT})
+        pipe = Pipeline(toy_weights, gallery20, pipe_config(policy=every, method=method))
+        _, report = pipe.process_frame(portrait_frame[0])
+        assert report["redactions"]
+        for entry in report["redactions"]:
+            assert {k: entry[k] for k in entry.keys() - {"index", "box", "label", "reason"}} == scheme
+
+    def test_logged_scramble_boxes_restore_frame(self, toy_weights, gallery20, portrait_frame):
+        frame = portrait_frame[0]
+        every = RedactionPolicy(labels={CHILD, ADULT})
+        pipe = Pipeline(toy_weights, gallery20, pipe_config(policy=every, method=Scramble(b"k")))
+        out, report = pipe.process_frame(frame)
+        assert not np.array_equal(out, frame)
+        boxes = [entry["box"] for entry in json.loads(report_line(report))["redactions"]]
+        np.testing.assert_array_equal(descramble_regions(out, boxes, b"k"), frame)
 
     def test_report_line_compact_and_sorted(self):
         line = report_line({"zeta": 1, "alpha": [1.5, 2], "mid": {"b": 1, "a": 2}})
