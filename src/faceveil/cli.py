@@ -96,7 +96,7 @@ def build_parser():
     p.add_argument("--input", required=True, metavar="PATH", help="frame file or directory")
     p.add_argument("--out-dir", required=True, metavar="DIR", help="processed frames land here")
     p.add_argument("--report", metavar="FILE", help="report stream (default OUT_DIR/report.jsonl)")
-    p.add_argument("--gallery", metavar="FILE", help="reference gallery file")
+    p.add_argument("--gallery", metavar="FILE", help="reference gallery (.mprw)")
     p.add_argument("--threshold", type=float)
     p.add_argument("--chip-size", type=int)
     p.add_argument("--method", help="pixelate[:block] | blur[:sigma] | scramble:HEX")
@@ -111,7 +111,7 @@ def build_parser():
     add_weights(p)
     p.add_argument("--input", required=True, metavar="DIR", help="directory of chip images")
     p.add_argument("--labels", required=True, metavar="FILE", help="filename,label lines")
-    p.add_argument("--out", required=True, metavar="FILE")
+    p.add_argument("--out", required=True, metavar="FILE", help="gallery file to write (.mprw)")
     p.add_argument("--chip-size", type=int, default=PipelineConfig.chip_size)
 
     p = sub.add_parser("eval", help="score a report stream against truth labels")

@@ -68,7 +68,7 @@ def _read_p6(f):
 
 
 def text_lines(path):
-    """Yield (line number, line) of a UTF-8 text file such as a gallery or label file.
+    """Yield (line number, line) of a UTF-8 text file such as a label or report file.
 
     A line that is not valid UTF-8 raises DataError naming path:line.
     """

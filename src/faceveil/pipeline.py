@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, InvariantError
 from .image import to_planar
 from .imgio import check_frame
 from .models import detector_nets, embedding_net
-from .recognize import LABELS, classify, compute_roc
+from .recognize import LABELS, check_threshold, classify, compute_roc
 
 STAGES = ("detect_ms", "embed_ms", "classify_ms", "denature_ms")
 TIMING_SLACK_MS = 1e-6
@@ -37,6 +37,9 @@ class PipelineConfig:
     method: object = field(default_factory=Pixelate)
     policy: RedactionPolicy = field(default_factory=RedactionPolicy)
     emit_timing: bool = True
+
+    def __post_init__(self):
+        check_threshold(self.threshold)
 
 
 class Pipeline:
@@ -54,7 +57,7 @@ class Pipeline:
         if gallery is not None:
             self.embedder.check_weights(weights)
             for label in LABELS:
-                if gallery.vectors_for(label).shape[0] == 0:
+                if label not in gallery.labels:
                     raise ConfigError(f"gallery has no {label!r} references")
 
     def process_frame(self, frame, index=0, source=None):

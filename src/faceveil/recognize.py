@@ -5,6 +5,16 @@ probe is the margin d_adult - d_child between its Euclidean distances to
 the nearest reference of each class, so larger means more child-like;
 the probe is called a child when the score exceeds the threshold and
 an adult on a tie.
+
+A gallery file is an ``.mprw`` tensor file (see ``faceveil.nn.weights``)
+holding up to three tensors:
+
+- ``gallery.vectors``: (n, 128) reference rows in gallery order;
+- ``gallery.labels``: (n,) label codes, 0.0 for child and 1.0 for adult;
+- ``gallery.note``: (k,) the UTF-8 bytes of the note, absent when empty.
+
+An empty gallery has neither vectors nor labels, since ``.mprw``
+dimensions must be at least 1.
 """
 
 from __future__ import annotations
@@ -16,12 +26,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DataError, FaceveilError
-from .imgio import text_lines
 from .models import EMBED_DIM
+from .nn import load_weights, save_weights
 
 CHILD = "child"
 ADULT = "adult"
 LABELS = (CHILD, ADULT)
+_VECTORS = "gallery.vectors"
+_LABELS = "gallery.labels"
+_NOTE = "gallery.note"
 
 
 @dataclass(frozen=True)
@@ -33,14 +46,34 @@ class Gallery:
     def __len__(self):
         return len(self.labels)
 
+    def _split(self, dtype):
+        labels = np.array(self.labels)  # split once per gallery, not once per classified face
+        return {
+            label: self.vectors[labels == label].astype(dtype, copy=False)
+            for label in set(self.labels)
+        }
+
     @cached_property
     def _rows_by_label(self):
-        labels = np.array(self.labels)  # split once per gallery, not once per classified face
-        return {label: self.vectors[labels == label] for label in set(self.labels)}
+        return self._split(np.float32)
+
+    @cached_property
+    def _rows64_by_label(self):
+        # classify's operands, cast to float64 once per gallery instead of once per call
+        return self._split(np.float64)
 
     def vectors_for(self, label):
         """The label's rows in gallery order, one array shared by every call; none if absent."""
         return self._rows_by_label.get(label, self.vectors[:0])
+
+
+def _check_unit_rows(rows, where=""):
+    """Raise DataError naming the first row whose norm is more than 1e-3 from 1."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    bad = ~(np.abs(norms - 1.0) <= 1e-3)  # also catches NaN
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"{where}entry {i}: reference norm {norms[i]:.6f} is not 1")
 
 
 def build_gallery(entries, note=""):
@@ -58,15 +91,11 @@ def build_gallery(entries, note=""):
         vec = np.asarray(vec, dtype=np.float64).reshape(-1)
         if vec.shape[0] != EMBED_DIM:
             raise DataError(f"entry {i}: expected {EMBED_DIM} values, got {vec.shape[0]}")
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= 1e-3:  # also rejects NaN
-            raise DataError(f"entry {i}: reference norm {norm:.6f} is not 1")
         labels.append(label)
         rows.append(vec)
-    vectors = (
-        np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, EMBED_DIM), np.float32)
-    )
-    return Gallery(tuple(labels), vectors, note=note)
+    rows = np.array(rows, dtype=np.float64).reshape(-1, EMBED_DIM)
+    _check_unit_rows(rows)
+    return Gallery(tuple(labels), rows.astype(np.float32), note=note)
 
 
 def gallery_build(chips, labels, weights, note=""):
@@ -107,22 +136,27 @@ class ClassificationResult:
         return self.score - self.threshold
 
 
-def _min_dist(emb, vecs):
+def _min_dist(emb, rows64):
     # rows and emb are unit vectors, so |e - v|^2 == 2 - 2 <e, v>
-    dots = vecs.astype(np.float64) @ emb.astype(np.float64)
-    return math.sqrt(max(0.0, float(np.min(2.0 - 2.0 * dots))))
+    return math.sqrt(max(0.0, float(np.min(2.0 - 2.0 * (rows64 @ emb)))))
+
+
+def check_threshold(threshold):
+    """Refuse a NaN or infinite threshold: no score would exceed it, so no child is ever called."""
+    if not math.isfinite(threshold):
+        raise ConfigError(f"threshold must be a finite number, got {threshold!r}")
 
 
 def classify(embedding, gallery, threshold=0.0):
+    check_threshold(threshold)
     emb = np.asarray(embedding, dtype=np.float64).reshape(-1)
     if emb.shape[0] != EMBED_DIM:
         raise ConfigError(f"expected {EMBED_DIM}-d embedding, got {emb.shape[0]}")
-    child_vecs = gallery.vectors_for(CHILD)
-    adult_vecs = gallery.vectors_for(ADULT)
-    if child_vecs.shape[0] == 0 or adult_vecs.shape[0] == 0:
+    rows = gallery._rows64_by_label
+    if CHILD not in rows or ADULT not in rows:
         raise ConfigError("gallery needs at least one reference of each class")
-    d_child = _min_dist(emb, child_vecs)
-    d_adult = _min_dist(emb, adult_vecs)
+    d_child = _min_dist(emb, rows[CHILD])
+    d_adult = _min_dist(emb, rows[ADULT])
     score = d_adult - d_child
     label = CHILD if score > threshold else ADULT
     return ClassificationResult(label, score, d_child, d_adult, float(threshold))
@@ -174,30 +208,47 @@ def save_roc(roc, path):
 
 
 def save_gallery(gallery, path):
-    """One reference per line: label,v0,...,v127 with round-trip-exact floats."""
-    with open(path, "w", encoding="utf-8") as f:
-        for note_line in gallery.note.splitlines():
-            f.write(f"# {note_line}\n")
-        for label, vec in zip(gallery.labels, gallery.vectors):
-            f.write(label + "," + ",".join(f"{float(v):.9g}" for v in vec) + "\n")
+    """Write the gallery as an .mprw file; ``load_gallery`` reads it back bit-exact."""
+    tensors = {}
+    if len(gallery):
+        tensors[_VECTORS] = gallery.vectors
+        tensors[_LABELS] = [LABELS.index(label) for label in gallery.labels]
+    if gallery.note:
+        tensors[_NOTE] = np.frombuffer(gallery.note.encode("utf-8"), dtype=np.uint8)
+    save_weights(tensors, path)
 
 
 def load_gallery(path):
-    entries = []
-    note_lines = []
-    for ln, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            note_lines.append(line[1:].strip())
-            continue
-        parts = line.split(",")
-        if len(parts) != EMBED_DIM + 1:
-            raise DataError(f"{path}:{ln}: expected label + {EMBED_DIM} values")
-        try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as e:
-            raise DataError(f"{path}:{ln}: {e}") from None
-        entries.append((parts[0].strip(), vec))
-    return build_gallery(entries, note="\n".join(note_lines))
+    """Read and check a gallery file; anything but a valid gallery raises DataError."""
+    try:
+        store = load_weights(path)
+    except DataError as e:
+        raise type(e)(f"{path}: {e}") from None
+    unknown = sorted(set(store) - {_VECTORS, _LABELS, _NOTE})
+    if unknown:
+        raise DataError(f"{path}: unexpected tensor {unknown[0]!r}, not a gallery file")
+    for have, need in ((_VECTORS, _LABELS), (_LABELS, _VECTORS)):
+        if have in store and need not in store:
+            raise DataError(f"{path}: tensor {have!r} without {need!r}")
+    vectors = store.get(_VECTORS, np.zeros((0, EMBED_DIM), np.float32))
+    codes = store.get(_LABELS, np.zeros(0, np.float32))
+    if vectors.ndim != 2 or vectors.shape[1] != EMBED_DIM:
+        raise DataError(f"{path}: {_VECTORS!r} has shape {vectors.shape}, "
+                        f"expected (n, {EMBED_DIM})")
+    if codes.shape != vectors.shape[:1]:
+        raise DataError(f"{path}: {_LABELS!r} has shape {codes.shape}, "
+                        f"expected ({vectors.shape[0]},)")
+    bad = (codes != 0.0) & (codes != 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"{path}: entry {i}: label code {codes[i]} is not 0 (child) or 1 (adult)")
+    _check_unit_rows(vectors, where=f"{path}: ")
+    note = store.get(_NOTE, np.zeros(0, np.float32))
+    if note.ndim != 1 or not np.all((note >= 0) & (note <= 255) & (note == np.floor(note))):
+        raise DataError(f"{path}: {_NOTE!r} must be a row of byte values")
+    try:
+        text = note.astype(np.uint8).tobytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: note is not UTF-8: {e}") from None
+    labels = tuple(np.array(LABELS)[codes.astype(np.intp)].tolist())
+    return Gallery(labels, vectors, note=text)

@@ -254,7 +254,7 @@ def test_11_determinism_and_formats(toy_weights, gallery20, probe_portraits, tmp
         save_weights(loaded, tmp_path / "again.mprw")
         assert (tmp_path / "again.mprw").read_bytes() == wpath.read_bytes()
 
-        gpath = tmp_path / "gallery.csv"
+        gpath = tmp_path / "gallery.mprw"
         save_gallery(gallery20, gpath)
         g2 = load_gallery(gpath)
         assert g2.labels == gallery20.labels

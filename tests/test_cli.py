@@ -44,7 +44,7 @@ def art(tmp_path_factory, detector_training, embedder_training, gallery20):
     emb_w = root / "emb.mprw"
     save_weights(detector_training["result"].weights, det_w)
     save_weights(embedder_training["result"].weights, emb_w)
-    gal = root / "gallery.csv"
+    gal = root / "gallery.mprw"
     save_gallery(gallery20, gal)
 
     rng = np.random.default_rng(63)
@@ -345,7 +345,7 @@ def run_reports(art, tmp_path_factory):
 
 class TestGalleryEvalFlow:
     def test_build_gallery(self, art, chips_dir, capsys, tmp_path):
-        out = tmp_path / "g.csv"
+        out = tmp_path / "g.mprw"
         code, stdout, _ = run_cli(
             capsys, "build-gallery", "--weights", art["emb_w"],
             "--input", str(chips_dir), "--labels", str(chips_dir / "labels.csv"),
@@ -362,7 +362,7 @@ class TestGalleryEvalFlow:
         code, _, err = run_cli(
             capsys, "build-gallery", "--weights", art["emb_w"],
             "--input", str(chips_dir), "--labels", str(labels),
-            "--out", str(tmp_path / "g.csv"), "--chip-size", str(TOY_CHIP),
+            "--out", str(tmp_path / "g.mprw"), "--chip-size", str(TOY_CHIP),
         )
         assert code == 2
         assert "ghost.ppm" in err
@@ -422,15 +422,33 @@ class TestGalleryEvalFlow:
         assert f"{files[bad].name}:2: not UTF-8" in err
 
     def test_run_non_utf8_gallery_exits_2(self, art, capsys, tmp_path):
-        gallery = tmp_path / "g.csv"
-        gallery.write_bytes(Path(art["gallery"]).read_bytes().replace(b"child", b"ch\xefld", 1))
+        # the fixture gallery with a lone 0xEF byte appended to its note
+        gallery = tmp_path / "g.mprw"
+        store = load_weights(art["gallery"])
+        save_weights({**store, "gallery.note": np.append(store["gallery.note"], 0xEF)}, gallery)
         code, _, err = run_cli(
             capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
             "--input", art["stream"], "--out-dir", str(tmp_path / "out"),
             "--gallery", str(gallery), "--chip-size", str(TOY_CHIP),
         )
         assert code == 2
-        assert "g.csv:" in err and "not UTF-8" in err
+        assert "g.mprw: note is not UTF-8" in err
+
+    @pytest.mark.parametrize("bad", ["weights", "empty"])
+    def test_run_non_gallery_file_exits_2(self, art, capsys, tmp_path, bad):
+        # a detector weight file is a valid .mprw file, but not a gallery
+        gallery = Path(art["det_w"]) if bad == "weights" else tmp_path / "empty.mprw"
+        if bad == "empty":
+            gallery.write_bytes(b"")
+        code, _, err = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--input", art["stream"], "--out-dir", str(tmp_path / "out"),
+            "--gallery", str(gallery), "--chip-size", str(TOY_CHIP),
+        )
+        assert code == 2
+        assert gallery.name in err
+        if bad == "weights":
+            assert "unexpected tensor" in err
 
     def test_eval_no_scores_cannot_roc(self, art, capsys, tmp_path):
         reports = tmp_path / "r.jsonl"

@@ -191,6 +191,12 @@ class TestPipelineConstruction:
         with pytest.raises(ConfigError):
             Pipeline({}, gallery20, pipe_config())
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # no score exceeds NaN or +inf, so such a cut would never redact a child
+        with pytest.raises(ConfigError, match="threshold"):
+            PipelineConfig(threshold=threshold)
+
 
 class TestProcessFrame:
     def test_report_schema(self, pipeline, portrait_frame):

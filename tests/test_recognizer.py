@@ -1,6 +1,7 @@
 """Gallery construction, nearest-reference classification and ROC."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from faceveil.errors import ConfigError, DataError, FaceveilError
+from faceveil.nn import load_weights, save_weights
 from faceveil.recognize import (
     ADULT,
     CHILD,
+    LABELS,
     ClassificationResult,
     build_gallery,
     classify,
@@ -179,6 +182,13 @@ class TestClassify:
         assert classify(probe, g, threshold=base.score + 1.0).label == ADULT
         assert classify(probe, g, threshold=base.score).label == ADULT
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # "score > nan" is False, so a NaN cut would call every child an adult
+        g, _, rows = toy_gallery(np.random.default_rng(14), 2, 2)
+        with pytest.raises(ConfigError, match="threshold"):
+            classify(rows[0], g, threshold=threshold)
+
     def test_margin_property(self):
         res = ClassificationResult(CHILD, 0.4, 0.1, 0.5, threshold=0.25)
         assert res.margin == pytest.approx(0.15)
@@ -255,47 +265,160 @@ class TestRoc:
             assert float(cols[1]) == fp and float(cols[2]) == tp
 
 
+def write_mprw(path, tensors):
+    """Raw .mprw bytes, so a test can store values save_weights refuses."""
+    raw = bytearray(b"MPRW" + struct.pack("<II", 1, len(tensors)))
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype="<f4")
+        raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+        raw += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+    path.write_bytes(bytes(raw))
+
+
+def gallery_tensors(g):
+    """The vectors and labels tensors of a non-empty gallery file."""
+    return {"gallery.vectors": g.vectors, "gallery.labels": [LABELS.index(lb) for lb in g.labels]}
+
+
 class TestGalleryFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(16)
         g, _, _ = toy_gallery(rng, 5, 4, note="camera A\nenrolled 2024-05-01")
-        path = tmp_path / "gallery.csv"
+        path = tmp_path / "gallery.mprw"
         save_gallery(g, path)
         loaded = load_gallery(path)
         assert loaded.labels == g.labels
         assert loaded.note == g.note
         np.testing.assert_array_equal(loaded.vectors, g.vectors)
 
-    def test_note_is_comment_lines(self, tmp_path):
+    def test_interleaved_labels_keep_order(self, tmp_path):
         rng = np.random.default_rng(17)
-        g, _, _ = toy_gallery(rng, 1, 1, note="provenance")
-        path = tmp_path / "g.csv"
-        save_gallery(g, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "# provenance"
+        labels = [ADULT, CHILD, CHILD, ADULT, CHILD]
+        g = build_gallery(zip(labels, unit_rows(rng, len(labels))))
+        save_gallery(g, tmp_path / "g.mprw")
+        loaded = load_gallery(tmp_path / "g.mprw")
+        assert loaded.labels == tuple(labels)
+        np.testing.assert_array_equal(loaded.vectors, g.vectors)
 
-    def test_empty_file_empty_gallery(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
+    @pytest.mark.parametrize("n_child,n_adult,note", [
+        (0, 0, ""),
+        (0, 0, "no chips embedded"),
+        (3, 0, "children only"),
+        (0, 2, ""),
+        (2, 2, ""),
+        (1, 1, "caméra 2 — 走廊\n\n  enrolled 2024-05-01  \n"),
+    ], ids=["empty", "empty-with-note", "child-only", "adult-only", "no-note", "unicode-note"])
+    def test_round_trips(self, tmp_path, n_child, n_adult, note):
+        g, _, _ = toy_gallery(np.random.default_rng(18), n_child, n_adult, note=note)
+        path = tmp_path / "g.mprw"
+        save_gallery(g, path)
+        loaded = load_gallery(path)
+        assert loaded.labels == g.labels
+        assert loaded.note == note
+        assert loaded.vectors.dtype == np.float32
+        np.testing.assert_array_equal(loaded.vectors, g.vectors.reshape(-1, 128))
+
+    def test_note_is_utf8_byte_tensor(self, tmp_path):
+        g, _, _ = toy_gallery(np.random.default_rng(19), 1, 2, note="provenance ✓")
+        path = tmp_path / "g.mprw"
+        save_gallery(g, path)
+        store = load_weights(path)
+        assert set(store) == {"gallery.vectors", "gallery.labels", "gallery.note"}
+        assert store["gallery.vectors"].shape == (3, 128)
+        np.testing.assert_array_equal(store["gallery.labels"], [0.0, 1.0, 1.0])
+        assert bytes(store["gallery.note"].astype(np.uint8)) == "provenance ✓".encode()
+
+    def test_empty_gallery_is_zero_tensor_file(self, tmp_path):
+        path = tmp_path / "g.mprw"
+        save_gallery(build_gallery([]), path)
+        assert len(load_weights(path)) == 0
         assert len(load_gallery(path)) == 0
 
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("child,0.5,0.5\n")
-        with pytest.raises(DataError):
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.mprw"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match="empty.mprw"):
+            load_gallery(path)
+
+    def test_text_gallery_rejected(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text("child," + ",".join(["0.0"] * 127 + ["1.0"]) + "\n")
+        with pytest.raises(DataError, match="old.csv"):
+            load_gallery(path)
+
+    def test_unexpected_tensor_named(self, tmp_path):
+        g, _, _ = toy_gallery(np.random.default_rng(20), 1, 1)
+        path = tmp_path / "g.mprw"
+        save_weights({**gallery_tensors(g), "pnet.conv1.w": np.ones((2, 3))}, path)
+        with pytest.raises(DataError, match="g.mprw.*'pnet.conv1.w'"):
+            load_gallery(path)
+
+    @pytest.mark.parametrize("keep", ["gallery.vectors", "gallery.labels"])
+    def test_missing_partner_rejected(self, tmp_path, keep):
+        g, _, _ = toy_gallery(np.random.default_rng(21), 1, 1)
+        path = tmp_path / "g.mprw"
+        save_weights({keep: gallery_tensors(g)[keep]}, path)
+        with pytest.raises(DataError, match="g.mprw.*without"):
+            load_gallery(path)
+
+    @pytest.mark.parametrize("vectors,labels", [
+        (np.full(128, 128**-0.5), [0]),  # rank 1
+        (np.full((2, 64), 64**-0.5), [0, 1]),  # wrong width
+        (np.full((1, 2, 128), 128**-0.5), [0, 1]),  # rank 3
+        (np.full((2, 128), 128**-0.5), [0]),  # too few labels
+        (np.full((2, 128), 128**-0.5), [0, 1, 1]),  # too many labels
+        (np.full((2, 128), 128**-0.5), [[0, 1]]),  # labels not a row
+    ], ids=["rank-1", "width-64", "rank-3", "short-labels", "long-labels", "labels-2d"])
+    def test_malformed_shape_rejected(self, tmp_path, vectors, labels):
+        path = tmp_path / "g.mprw"
+        save_weights({"gallery.vectors": vectors, "gallery.labels": labels}, path)
+        with pytest.raises(DataError, match="g.mprw.*shape"):
+            load_gallery(path)
+
+    @pytest.mark.parametrize("code", [2.0, -1.0, 0.5, 1e9])
+    def test_label_code_outside_set_rejected(self, tmp_path, code):
+        g, _, _ = toy_gallery(np.random.default_rng(22), 2, 1)
+        path = tmp_path / "g.mprw"
+        save_weights({**gallery_tensors(g), "gallery.labels": [0.0, code, 1.0]}, path)
+        with pytest.raises(DataError, match="g.mprw: entry 1: label code"):
             load_gallery(path)
 
     def test_non_numeric_value_rejected(self, tmp_path):
-        row = ",".join(["child"] + ["0.0"] * 127 + ["spam"])
-        path = tmp_path / "nan.csv"
-        path.write_text(row + "\n")
-        with pytest.raises(DataError):
+        # save_weights refuses NaN, so the bytes are written by hand
+        g, _, _ = toy_gallery(np.random.default_rng(23), 1, 1)
+        tensors = gallery_tensors(g)
+        tensors["gallery.vectors"] = tensors["gallery.vectors"].copy()
+        tensors["gallery.vectors"][1, 5] = np.nan
+        path = tmp_path / "g.mprw"
+        write_mprw(path, tensors)
+        with pytest.raises(DataError, match="g.mprw.*non-finite"):
             load_gallery(path)
 
-    def test_non_utf8_line_named(self, tmp_path):
-        path = tmp_path / "g.csv"
-        path.write_bytes(b"# note\n# caf\xe9\n")
-        with pytest.raises(DataError, match="g.csv:2: not UTF-8"):
+    @pytest.mark.parametrize("scale", [0.5, 1.01, 0.0])
+    def test_non_unit_row_named(self, tmp_path, scale):
+        g, _, _ = toy_gallery(np.random.default_rng(24), 2, 2)
+        tensors = gallery_tensors(g)
+        tensors["gallery.vectors"] = tensors["gallery.vectors"].copy()
+        tensors["gallery.vectors"][2] *= scale
+        path = tmp_path / "g.mprw"
+        save_weights(tensors, path)
+        with pytest.raises(DataError, match="g.mprw: entry 2: reference norm"):
+            load_gallery(path)
+
+    @pytest.mark.parametrize("note", [[256.0], [-1.0], [65.5], [[65.0, 66.0]]],
+                             ids=["over-255", "negative", "fraction", "not-a-row"])
+    def test_note_not_bytes_rejected(self, tmp_path, note):
+        g, _, _ = toy_gallery(np.random.default_rng(25), 1, 1)
+        path = tmp_path / "g.mprw"
+        save_weights({**gallery_tensors(g), "gallery.note": note}, path)
+        with pytest.raises(DataError, match="g.mprw.*byte"):
+            load_gallery(path)
+
+    def test_non_utf8_note_named(self, tmp_path):
+        g, _, _ = toy_gallery(np.random.default_rng(26), 1, 1)
+        path = tmp_path / "g.mprw"
+        save_weights({**gallery_tensors(g), "gallery.note": list(b"caf\xe9\nnote")}, path)
+        with pytest.raises(DataError, match="g.mprw: note is not UTF-8"):
             load_gallery(path)
 
     @settings(max_examples=200, deadline=None)
@@ -303,13 +426,14 @@ class TestGalleryFile:
     def test_damaged_file_fails_closed(self, tmp_path_factory, data):
         # a valid two-entry file, then bytes overwritten or inserted, then cut short
         g, _, _ = toy_gallery(np.random.default_rng(18), 1, 1, note="n")
-        path = tmp_path_factory.mktemp("gal") / "g.csv"
+        path = tmp_path_factory.mktemp("gal") / "g.mprw"
         save_gallery(g, path)
         raw = bytearray(path.read_bytes())
         for _ in range(data.draw(st.integers(0, 4))):
             at = data.draw(st.integers(0, len(raw)))
-            piece = data.draw(st.one_of(st.binary(min_size=1, max_size=3), st.sampled_from(
-                [b",", b"\n", b"nan", b"inf", b"-", b"e9", b"child", b"\xff", b"\xc3"])))
+            piece = data.draw(st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from([
+                struct.pack("<f", np.nan), struct.pack("<f", 2.0), struct.pack("<I", 2**32 - 1),
+                b"\x00\x00", b"\xff", b"gallery.", b"MPRW"])))
             if data.draw(st.booleans()):
                 raw[at:at + len(piece)] = piece
             else:
