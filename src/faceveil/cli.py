@@ -1,9 +1,9 @@
 """Command line front end.
 
-Subcommands: detect (boxes only), run (detect + classify + redact),
-build-gallery (embed labeled chips), eval (score a report stream),
-train-toy (synthetic training), gradcheck (finite-difference audit) and
-bench (per-stage timing).  Exit codes: 0 success, 1 usage or
+Subcommands: detect (boxes only), run (detect + classify + redact,
+closing with per-stage timing stats), build-gallery (embed labeled
+chips), eval (score a report stream), train-toy (synthetic training) and
+gradcheck (finite-difference audit).  Exit codes: 0 success, 1 usage or
 configuration, 2 bad data, 3 violated runtime invariant.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -27,11 +26,11 @@ from .nn import WeightStore, load_weights
 from .pipeline import (
     Pipeline,
     PipelineConfig,
-    bench,
     check_report,
     detection_entry,
     evaluate_reports,
     report_line,
+    timing_stats,
 )
 from .recognize import (
     ADULT,
@@ -60,8 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def numbers(text):
-    """Comma-separated command line numbers -> list of floats."""
-    return [float(v) for v in text.split(",")]
+    """Comma-separated command line numbers -> tuple of floats."""
+    return tuple(float(v) for v in text.split(","))
 
 
 def build_parser():
@@ -136,10 +135,6 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference audit of losses and layers")
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("bench", help="per-stage latency stats over repeated frames")
-    p.add_argument("--config", required=True, metavar="FILE", help="pipeline config JSON")
-    p.add_argument("--frames", type=int, default=0,
-                   help="benchmark this many frames, cycling the input (0 = one pass)")
     return parser
 
 
@@ -147,54 +142,32 @@ def _merged_weights(paths):
     return WeightStore.merge(*(load_weights(p) for p in paths))
 
 
-_KINDS = {int: "an integer", float: "a finite number", bool: "true or false", str: "a string"}
-
-
-def _checked(key, value, kind):
-    """``value`` as ``kind``: int, float, bool, str, or tuple for three floats."""
-    if kind is tuple:
-        if not isinstance(value, (list, tuple)) or len(value) != 3:
-            raise ConfigError(f"{key} needs three numbers, got {value!r}")
-        return tuple(_checked(key, v, float) for v in value)
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ConfigError(f"{key} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def _protected(name):
-    if name not in PROTECT_CHOICES:
-        raise ConfigError(f"protect must be one of {', '.join(sorted(PROTECT_CHOICES))}, got {name!r}")
-    return PROTECT_CHOICES[name]
-
-
-# config key -> (PipelineConfig part, field, value kind, conversion)
+# command line key -> (PipelineConfig part, field, conversion)
 _CONFIG_KEYS = {
-    "min_face": ("detector", "min_face_size", int, None),
-    "scale_factor": ("detector", "scale_factor", float, None),
-    "thresholds": ("detector", "thresholds", tuple, None),
-    "chip_size": ("pipeline", "chip_size", int, None),
-    "threshold": ("pipeline", "threshold", float, None),
-    "method": ("pipeline", "method", str, parse_method),
-    "protect": ("policy", "labels", str, _protected),
-    "redact_on_tie": ("policy", "redact_on_tie", bool, None),
-    "box_expansion": ("policy", "box_expansion", float, None),
+    "min_face": ("detector", "min_face_size", None),
+    "scale_factor": ("detector", "scale_factor", None),
+    "thresholds": ("detector", "thresholds", None),
+    "chip_size": ("pipeline", "chip_size", None),
+    "threshold": ("pipeline", "threshold", None),
+    "method": ("pipeline", "method", parse_method),
+    "protect": ("policy", "labels", PROTECT_CHOICES.__getitem__),
+    "redact_on_tie": ("policy", "redact_on_tie", None),
+    "box_expansion": ("policy", "box_expansion", None),
 }
 
 
 def pipeline_config_from(values, emit_timing=True):
-    """Bench-config mapping -> the PipelineConfig of every command.
+    """Parsed ``run``/``detect`` flags -> the PipelineConfig of both commands.
 
-    Keys absent from ``values`` keep the dataclass defaults.  Other keys
-    are not read, since ``run`` and ``detect`` pass their whole argparse
-    namespace; ``bench`` rejects unknown keys before it calls this.  A
-    value of the wrong type or range raises ConfigError.
+    Keys absent from ``values`` keep the dataclass defaults, and keys
+    outside ``_CONFIG_KEYS`` are not read, so a whole argparse namespace
+    may be passed.  argparse has typed each value; a value out of range
+    raises ConfigError from the config it is checked by.
     """
     parts = {"detector": {}, "pipeline": {}, "policy": {}}
-    for key, (part, name, kind, convert) in _CONFIG_KEYS.items():
+    for key, (part, name, convert) in _CONFIG_KEYS.items():
         if key in values:
-            value = _checked(key, values[key], kind)
+            value = values[key]
             parts[part][name] = convert(value) if convert else value
     return PipelineConfig(
         detector=DetectorConfig(**parts["detector"]),
@@ -280,6 +253,7 @@ def _cmd_run(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
     n_frames = n_faces = n_redacted = 0
+    timings = []
     with open(report_path, "w", encoding="utf-8") as rep:
         for i, (source, frame) in enumerate(iter_input(args.input)):
             out, report = pipe.process_frame(frame, i, source=source)
@@ -289,7 +263,12 @@ def _cmd_run(args):
             n_frames += 1
             n_faces += len(report["faces"])
             n_redacted += len(report["redactions"])
-    print(json.dumps({"frames": n_frames, "faces": n_faces, "redacted": n_redacted}))
+            if "timing_ms" in report:
+                timings.append(report["timing_ms"])
+    summary = {"frames": n_frames, "faces": n_faces, "redacted": n_redacted}
+    if timings:
+        summary["timing_ms"] = timing_stats(timings)
+    print(json.dumps(summary))
     return 0
 
 
@@ -355,36 +334,6 @@ def _cmd_gradcheck(args):
     return 0
 
 
-def _cmd_bench(args):
-    with open(args.config, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{args.config}: {e}") from None
-        except UnicodeDecodeError:
-            raise DataError(f"{args.config}: not UTF-8 text") from None
-    if not isinstance(raw, dict) or "weights" not in raw or "input" not in raw:
-        raise ConfigError(f"{args.config} must be a JSON object with weights and input")
-    unknown = sorted(raw.keys() - _CONFIG_KEYS.keys() - {"weights", "input", "gallery"})
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown keys {', '.join(map(repr, unknown))}")
-    paths = raw["weights"] if isinstance(raw["weights"], list) else [raw["weights"]]
-    for key, value in [("weights", p) for p in paths] + [("input", raw["input"])]:
-        _checked(key, value, str)
-    # without a gallery nothing can be classified, so protect no label
-    cfg = pipeline_config_from({"protect": "child" if raw.get("gallery") else "none", **raw})
-    weights = _merged_weights(paths)
-    gallery = load_gallery(_checked("gallery", raw["gallery"], str)) if raw.get("gallery") else None
-    pipe = Pipeline(weights, gallery, cfg)
-    frames = [frame for _, frame in iter_input(raw["input"])]
-    if not frames:
-        raise DataError(f"no frames in {raw['input']}")
-    if args.frames > 0:
-        frames = [frames[i % len(frames)] for i in range(args.frames)]
-    print(json.dumps(bench(frames, pipe)))
-    return 0
-
-
 _COMMANDS = {
     "detect": _cmd_detect,
     "run": _cmd_run,
@@ -392,7 +341,6 @@ _COMMANDS = {
     "eval": _cmd_eval,
     "train-toy": _cmd_train_toy,
     "gradcheck": _cmd_gradcheck,
-    "bench": _cmd_bench,
 }
 
 

@@ -117,6 +117,7 @@ def save_weights(store, path):
 
 
 def _take(buf, offset, n, what):
+    """The next ``n`` bytes of a memoryview, as a view (no copy)."""
     if offset + n > len(buf):
         raise TruncatedFileError(f"file ends inside {what}")
     return buf[offset : offset + n], offset + n
@@ -125,10 +126,10 @@ def _take(buf, offset, n, what):
 def load_weights(path):
     """Read an MPRW file back into a WeightStore; every value must be finite."""
     with open(path, "rb") as f:
-        buf = f.read()
+        buf = memoryview(f.read())
     head, off = _take(buf, 0, 4, "magic")
     if head != MAGIC:
-        raise BadMagicError(f"bad magic {head!r}, expected {MAGIC!r}")
+        raise BadMagicError(f"bad magic {bytes(head)!r}, expected {MAGIC!r}")
     raw, off = _take(buf, off, 8, "header")
     version, count = struct.unpack("<II", raw)
     if version != VERSION:
@@ -139,7 +140,7 @@ def load_weights(path):
         (name_len,) = struct.unpack("<H", raw)
         raw, off = _take(buf, off, name_len, "name")
         try:
-            name = raw.decode("utf-8")
+            name = str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise WeightLoadError(f"tensor name is not valid UTF-8: {e}") from e
         raw, off = _take(buf, off, 1, "rank")

@@ -241,25 +241,15 @@ def evaluate_reports(reports, truth):
     return EvalSummary(len(reports), miss, confusion, roc)
 
 
-def bench(frames, pipeline):
-    """Per-stage mean/median/p95 milliseconds over the frames."""
-    frames = list(frames)
-    if not frames:
-        raise ConfigError("bench needs at least one frame")
-    samples = {k: [] for k in STAGES + ("total_ms",)}
-    for i, frame in enumerate(frames):
-        _, report = pipeline.process_frame(frame, i)
-        timing = report.get("timing_ms")
-        if timing is None:
-            raise ConfigError("bench requires emit_timing=True")
-        for k in samples:
-            samples[k].append(timing[k])
-    stats = {"frames": len(frames)}
-    for k, vals in samples.items():
-        arr = np.asarray(vals)
-        stats[k] = {
-            "mean": float(arr.mean()),
-            "median": float(np.median(arr)),
-            "p95": float(np.percentile(arr, 95)),
+def timing_stats(timings):
+    """Per-stage mean/median/p95 milliseconds over reports' ``timing_ms`` dicts (at least one)."""
+    keys = STAGES + ("total_ms",)
+    samples = np.array([[t[k] for k in keys] for t in timings])
+    return {
+        k: {
+            "mean": float(col.mean()),
+            "median": float(np.median(col)),
+            "p95": float(np.percentile(col, 95)),
         }
-    return stats
+        for k, col in zip(keys, samples.T)
+    }

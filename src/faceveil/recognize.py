@@ -40,31 +40,27 @@ _NOTE = "gallery.note"
 @dataclass(frozen=True)
 class Gallery:
     labels: tuple
-    vectors: np.ndarray  # (n, 128) float32, rows unit-norm
+    vectors: np.ndarray  # (n, 128) float32, rows unit-norm, read-only
     note: str = ""  # free-text provenance, carried through save/load
+
+    def __post_init__(self):
+        # classify caches a split of the rows, so they must not change under it
+        if self.vectors.flags.writeable:
+            frozen = self.vectors.copy()
+            frozen.flags.writeable = False
+            object.__setattr__(self, "vectors", frozen)
 
     def __len__(self):
         return len(self.labels)
 
-    def _split(self, dtype):
-        labels = np.array(self.labels)  # split once per gallery, not once per classified face
-        return {
-            label: self.vectors[labels == label].astype(dtype, copy=False)
-            for label in set(self.labels)
-        }
-
-    @cached_property
-    def _rows_by_label(self):
-        return self._split(np.float32)
-
     @cached_property
     def _rows64_by_label(self):
-        # classify's operands, cast to float64 once per gallery instead of once per call
-        return self._split(np.float64)
-
-    def vectors_for(self, label):
-        """The label's rows in gallery order, one array shared by every call; none if absent."""
-        return self._rows_by_label.get(label, self.vectors[:0])
+        # classify's operands, split and cast to float64 once per gallery, not once per call
+        labels = np.array(self.labels)
+        return {
+            label: self.vectors[labels == label].astype(np.float64)
+            for label in set(self.labels)
+        }
 
 
 def _check_unit_rows(rows, where=""):

@@ -1,8 +1,10 @@
 """End-to-end command line coverage: every subcommand plus the exit
 code contract (1 config, 2 data, 3 invariant)."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -177,6 +179,19 @@ class TestDetect:
         assert code == 1
         assert "thresholds" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-face", "5"), ("--scale-factor", "nan"), ("--thresholds", "nan,0.7,0.7"),
+    ])
+    def test_bad_setting_exits_1(self, art, capsys, tmp_path, flag, value):
+        out_file = tmp_path / "o.jsonl"
+        code, out, err = run_cli(
+            capsys, "detect", "--weights", art["det_w"], "--input", art["stream"],
+            "--out", str(out_file), flag, value,
+        )
+        assert code == 1
+        assert err.startswith("faceveil: ") and out == ""
+        assert not out_file.exists()
+
     def test_lines_are_run_reports_projected(self, art, capsys, tmp_path):
         boxes = tmp_path / "boxes.jsonl"
         assert run_cli(
@@ -207,6 +222,12 @@ class TestDetect:
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "transmogrify")[0] == 1
 
+    def test_bench_is_not_a_command(self, capsys):
+        # per-stage stats close every timed run; there is no second timed loop
+        code, _, err = run_cli(capsys, "bench", "--config", "b.json")
+        assert code == 1
+        assert err.startswith("faceveil: ") and "invalid choice" in err and "bench" in err
+
 
 class TestRun:
     def test_full_pipeline(self, art, capsys, tmp_path):
@@ -218,7 +239,7 @@ class TestRun:
         )
         assert code == 0
         summary = last_json(out)
-        assert set(summary) == {"frames", "faces", "redacted"}
+        assert set(summary) == {"frames", "faces", "redacted", "timing_ms"}
         assert summary["frames"] == 6
         assert summary["faces"] >= 5
         report = out_dir / "report.jsonl"
@@ -242,19 +263,75 @@ class TestRun:
         assert (out_dir / "frame_00001.ppm").exists()
         assert last_json(out)["redacted"] >= 1
 
+    def test_closing_line_carries_stage_stats(self, art, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
+            "--input", art["stream"], "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        stats = last_json(out)["timing_ms"]
+        reps = [json.loads(ln) for ln in (out_dir / "report.jsonl").read_text().splitlines()]
+        assert len(reps) == 2
+        assert set(stats) == {"detect_ms", "embed_ms", "classify_ms", "denature_ms", "total_ms"}
+        for stage, entry in stats.items():
+            assert set(entry) == {"mean", "median", "p95"}
+            assert entry["median"] <= entry["p95"]
+            values = np.array([r["timing_ms"][stage] for r in reps])
+            assert entry == {
+                "mean": float(values.mean()),
+                "median": float(np.median(values)),
+                "p95": float(np.percentile(values, 95)),
+            }
+
     def test_no_timing_reports_are_reproducible(self, art, capsys, tmp_path):
-        texts = []
+        texts, outs = [], []
         for tag in ("a", "b"):
             out_dir = tmp_path / tag
-            code, _, _ = run_cli(
+            code, out, _ = run_cli(
                 capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
                 "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
                 "--input", art["stream"], "--out-dir", str(out_dir), "--no-timing",
             )
             assert code == 0
             texts.append((out_dir / "report.jsonl").read_bytes())
+            outs.append(out)
         assert texts[0] == texts[1]
         assert b"timing_ms" not in texts[0]
+        assert outs[0] == outs[1]
+        assert set(last_json(outs[0])) == {"frames", "faces", "redacted"}
+
+    def test_no_frames_no_timing(self, art, capsys, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, _ = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--input", str(empty),
+            "--out-dir", str(tmp_path / "o"), "--protect", "none",
+        )
+        assert code == 0
+        assert last_json(out) == {"frames": 0, "faces": 0, "redacted": 0}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--threshold", "nan"), ("--threshold", "inf"),
+        ("--box-expansion", "nan"), ("--box-expansion", "inf"),
+        ("--scale-factor", "nan"),
+        ("--thresholds", "0.6,0.7"), ("--thresholds", "nan,0.7,0.7"), ("--thresholds", "abc"),
+        ("--min-face", "5"), ("--chip-size", "20"), ("--chip-size", "x"),
+        ("--protect", "kids"), ("--method", "3"),
+    ])
+    def test_bad_setting_exits_1(self, art, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", art["emb_w"],
+            "--gallery", art["gallery"], "--chip-size", str(TOY_CHIP),
+            "--input", art["stream"], "--out-dir", str(out_dir), flag, value,
+        )
+        assert code == 1
+        assert err.startswith("faceveil: ")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
 
     def test_non_finite_weights_exit_2(self, art, capsys, tmp_path):
         weights = dict(load_weights(art["det_w"]))
@@ -583,114 +660,34 @@ class TestGradcheckCommand:
         }
 
 
-class TestBenchCommand:
-    def test_stats_output(self, art, capsys, tmp_path):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({
-            "weights": [art["det_w"], art["emb_w"]],
-            "input": art["stream"],
-            "gallery": art["gallery"],
-            "chip_size": TOY_CHIP,
-        }))
-        code, out, _ = run_cli(capsys, "bench", "--config", str(cfg), "--frames", "3")
-        assert code == 0
-        stats = last_json(out)
-        assert stats["frames"] == 3
-        assert set(stats["total_ms"]) == {"mean", "median", "p95"}
-
-    def test_config_must_name_inputs(self, art, capsys, tmp_path):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({"weights": art["det_w"]}))
-        assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 1
-
-    def test_config_bad_json(self, capsys, tmp_path):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text("{nope")
-        assert run_cli(capsys, "bench", "--config", str(cfg))[0] == 2
-
-    def test_config_not_utf8_exits_2(self, capsys, tmp_path):
-        cfg = tmp_path / "bench.json"
-        cfg.write_bytes(b"\xff\xfe")
-        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
-        assert code == 2
-        assert err == f"faceveil: {cfg}: not UTF-8 text\n"
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("protect", "kids"),
-            ("min_face", "20"),
-            ("thresholds", "abc"),
-            ("scale_factor", None),
-            ("method", 3),
-            ("chip_size", "x"),
-            ("box_expansion", "a"),
-            ("chip_size", 20),
-            ("min_face", True),
-            ("redact_on_tie", 1),
-            ("threshold", float("nan")),
-            ("box_expansion", float("inf")),
-            ("thresholds", [0.6, 0.7]),
-            ("thresholds", [0.6, "0.7", 0.7]),
-            ("protect", ["child"]),
-        ],
-    )
-    def test_malformed_value_exits_1(self, art, capsys, tmp_path, key, value):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({
-            "weights": [art["det_w"], art["emb_w"]],
-            "input": art["stream"],
-            "gallery": art["gallery"],
-            "chip_size": TOY_CHIP,
-            key: value,
-        }))
-        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
-        assert code == 1
-        assert err.startswith("faceveil: ")
-
-
-    @pytest.mark.parametrize("key", ["min_face_size", "protect "])
-    def test_unknown_key_exits_1(self, art, capsys, tmp_path, key):
-        # a misspelt setting must not run silently with its default
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({
-            "weights": [art["det_w"], art["emb_w"]],
-            "input": art["stream"],
-            "gallery": art["gallery"],
-            "chip_size": TOY_CHIP,
-            key: 80 if key == "min_face_size" else "none",
-        }))
-        code, _, err = run_cli(capsys, "bench", "--config", str(cfg))
-        assert code == 1
-        assert err.startswith("faceveil: ") and repr(key) in err
-
-
 class TestPipelineConfigFrom:
     def test_defaults_come_from_the_dataclasses(self):
         assert pipeline_config_from({}) == PipelineConfig()
 
-    def test_run_flags_and_bench_keys_agree(self):
+    def test_run_flags_and_detect_flags_agree(self):
+        detector_flags = ["--min-face", "24", "--scale-factor", "0.5",
+                          "--thresholds", "0.5,0.6,0.8"]
         args = build_parser().parse_args([
             "run", "--weights", "w.mprw", "--input", "in", "--out-dir", "out",
-            "--min-face", "24", "--scale-factor", "0.5", "--thresholds", "0.5,0.6,0.8",
+            *detector_flags,
             "--threshold", "0.25", "--chip-size", "32", "--method", "blur:2",
             "--protect", "all", "--box-expansion", "0.2", "--no-redact-ties",
         ])
+        detect_args = build_parser().parse_args([
+            "detect", "--weights", "w.mprw", "--input", "in", "--out", "o.jsonl",
+            *detector_flags,
+        ])
         cfg = pipeline_config_from(_given(args))
-        assert cfg == pipeline_config_from({
-            "min_face": 24, "scale_factor": 0.5, "thresholds": [0.5, 0.6, 0.8],
-            "threshold": 0.25, "chip_size": 32, "method": "blur:2",
-            "protect": "all", "box_expansion": 0.2, "redact_on_tie": False,
-        })
+        assert pipeline_config_from(_given(detect_args)).detector == cfg.detector
         assert cfg.detector == DetectorConfig(24, 0.5, (0.5, 0.6, 0.8))
+        assert cfg.chip_size == 32 and cfg.threshold == 0.25
         assert cfg.method == Blur(2.0)
-        assert cfg.policy.labels == {CHILD, ADULT}
-        assert not cfg.policy.redact_on_tie
+        assert cfg.policy == RedactionPolicy(frozenset({CHILD, ADULT}), False, 0.2)
 
 
     def test_every_setting_has_a_key(self):
         # a field no command can set is a knob nobody turns
-        reached = {(part, name) for part, name, _, _ in _CONFIG_KEYS.values()}
+        reached = {(part, name) for part, name, _ in _CONFIG_KEYS.values()}
         fixed = {"detector", "policy", "emit_timing"}
         settable = {("detector", f.name) for f in fields(DetectorConfig)}
         settable |= {("policy", f.name) for f in fields(RedactionPolicy)}
@@ -702,3 +699,12 @@ class TestIterInput:
     def test_sorted_names(self, art):
         names = [name for name, _ in iter_input(art["portraits"])]
         assert names == sorted(art["labels"])
+
+
+def test_readme_commands_table_matches_parser():
+    # a deleted or added subcommand must not leave the docs stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Commands", 1)[1].split("\n\n", 2)[1]
+    documented = set(re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.M))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

@@ -21,10 +21,10 @@ from faceveil.pipeline import (
     EvalSummary,
     Pipeline,
     PipelineConfig,
-    bench,
     check_timing,
     evaluate_reports,
     report_line,
+    timing_stats,
 )
 from faceveil.recognize import ADULT, CHILD
 from faceveil.synth import make_portrait
@@ -432,23 +432,24 @@ class TestEvaluateReports:
         assert s.miss_count == 0
 
 
-class TestBench:
-    def test_stats_shape(self, pipeline, portrait_frame):
-        frame, _, _ = portrait_frame
-        stats = bench([frame, frame], pipeline)
-        assert stats["frames"] == 2
-        for key in ("detect_ms", "embed_ms", "classify_ms", "denature_ms", "total_ms"):
-            entry = stats[key]
-            assert set(entry) == {"mean", "median", "p95"}
-            assert 0.0 <= entry["median"] <= entry["p95"]
-        assert stats["total_ms"]["mean"] > 0.0
+class TestTimingStats:
+    def test_matches_numpy_per_stage(self):
+        rng = np.random.default_rng(8)
+        keys = ("detect_ms", "embed_ms", "classify_ms", "denature_ms", "total_ms")
+        timings = [dict(zip(keys, rng.uniform(0, 50, size=5).tolist())) for _ in range(7)]
+        stats = timing_stats(timings)
+        assert list(stats) == list(keys)
+        for key in keys:
+            values = np.array([t[key] for t in timings])
+            assert stats[key] == {
+                "mean": float(values.mean()),
+                "median": float(np.median(values)),
+                "p95": float(np.percentile(values, 95)),
+            }
 
-    def test_requires_frames(self, pipeline):
-        with pytest.raises(ConfigError):
-            bench([], pipeline)
-
-    def test_requires_timing(self, toy_weights, gallery20, portrait_frame):
+    def test_one_frame_is_its_own_statistic(self, pipeline, portrait_frame):
         frame, _, _ = portrait_frame
-        silent = Pipeline(toy_weights, gallery20, pipe_config(emit_timing=False))
-        with pytest.raises(ConfigError):
-            bench([frame], silent)
+        _, report = pipeline.process_frame(frame)
+        stats = timing_stats([report["timing_ms"]])
+        for key, value in report["timing_ms"].items():
+            assert stats[key] == {"mean": value, "median": value, "p95": value}

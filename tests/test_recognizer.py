@@ -16,6 +16,7 @@ from faceveil.recognize import (
     CHILD,
     LABELS,
     ClassificationResult,
+    Gallery,
     build_gallery,
     classify,
     compute_roc,
@@ -72,25 +73,28 @@ class TestBuildGallery:
         with pytest.raises(DataError):
             build_gallery([(ADULT, vec)])
 
-    def test_vectors_for_filters_by_label(self):
+    def test_vectors_are_read_only_copies(self):
         rng = np.random.default_rng(3)
-        g, labels, rows = toy_gallery(rng, 2, 5)
-        assert g.vectors_for(CHILD).shape == (2, 128)
-        assert g.vectors_for(ADULT).shape == (5, 128)
+        g, labels, rows = toy_gallery(rng, 2, 2)
+        assert not g.vectors.flags.writeable
+        given = rows.astype(np.float32)
+        direct = Gallery(tuple(labels), given)
+        given[0] = given[1]  # the caller's array stays the caller's
+        np.testing.assert_array_equal(direct.vectors, rows.astype(np.float32))
+        assert not direct.vectors.flags.writeable
 
-    def test_vectors_for_keeps_gallery_order(self):
+    def test_edit_after_classify_raises_or_is_seen(self):
+        # classify caches a per-label split; an in-place edit must not leave it stale
         rng = np.random.default_rng(4)
-        labels = [ADULT, CHILD, ADULT, ADULT, CHILD]
-        rows = unit_rows(rng, len(labels))
-        g = build_gallery(zip(labels, rows))
-        for label in (CHILD, ADULT):
-            want = g.vectors[[lb == label for lb in labels]]
-            got = g.vectors_for(label)
-            assert got.dtype == np.float32
-            np.testing.assert_array_equal(got, want)
-            assert got is g.vectors_for(label)  # split once per gallery
-        assert g.vectors_for("minor").shape == (0, 128)
-        assert build_gallery([(ADULT, rows[0])]).vectors_for(CHILD).shape == (0, 128)
+        g, labels, rows = toy_gallery(rng, 1, 1)
+        probe = rows[0]
+        assert classify(probe, g).label == CHILD
+        try:
+            g.vectors[[0, 1]] = g.vectors[[1, 0]]
+        except ValueError:
+            return
+        swapped = build_gallery(zip(labels, rows[[1, 0]]))
+        assert classify(probe, g) == classify(probe, swapped)
 
 
 class TestGalleryBuild:
@@ -126,6 +130,21 @@ class TestGalleryBuild:
 
 
 class TestClassify:
+    def test_interleaved_gallery_matches_brute_force(self):
+        rng = np.random.default_rng(14)
+        labels = [ADULT, CHILD, ADULT, ADULT, CHILD, CHILD, ADULT, CHILD, ADULT]
+        rows = unit_rows(rng, len(labels))
+        g = build_gallery(zip(labels, rows))
+        for _ in range(50):
+            probe = unit_rows(rng, 1)[0]
+            got = classify(probe, g)
+            nearest = {}
+            for label, row in zip(labels, g.vectors.astype(np.float64)):
+                nearest[label] = min(nearest.get(label, math.inf), np.linalg.norm(probe - row))
+            assert got.d_child == pytest.approx(nearest[CHILD], abs=1e-7)
+            assert got.d_adult == pytest.approx(nearest[ADULT], abs=1e-7)
+            assert got.label == (CHILD if nearest[ADULT] - nearest[CHILD] > 0 else ADULT)
+
     def test_matches_nearest_neighbor_oracle(self):
         rng = np.random.default_rng(5)
         g, labels, rows = toy_gallery(rng, 6, 6)

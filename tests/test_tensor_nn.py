@@ -3,6 +3,7 @@ network plumbing, and the MPRW weight file format."""
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +585,30 @@ class TestMprwFormat:
         path.write_bytes(b"NOPE" + struct.pack("<II", 1, 0))
         with pytest.raises(BadMagicError):
             load_weights(path)
+
+    def test_errors_show_bytes(self, tmp_path):
+        path = tmp_path / "bad.mprw"
+        path.write_bytes(b"NOPE" + struct.pack("<II", 1, 0))
+        with pytest.raises(BadMagicError, match=r"^bad magic b'NOPE', expected b'MPRW'$"):
+            load_weights(path)
+        body = struct.pack("<H", 1) + b"\xff" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
+        path.write_bytes(b"MPRW" + struct.pack("<II", 1, 1) + body)
+        with pytest.raises(WeightLoadError, match="not valid UTF-8.*byte 0xff") as err:
+            load_weights(path)
+        assert "memory at" not in str(err.value)
+
+    def test_load_peak_memory_bounded(self, tmp_path):
+        # the file bytes and one float32 copy per tensor, not a third copy per slice
+        path = tmp_path / "big.mprw"
+        rng = np.random.default_rng(10)
+        save_weights({"v": rng.normal(size=(3000, 128)), "l": np.ones(3000)}, path)
+        tracemalloc.start()
+        try:
+            load_weights(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * path.stat().st_size
 
     def test_truncated_header_and_payload(self, tmp_path):
         path = tmp_path / "t.mprw"
