@@ -81,8 +81,9 @@ def build_parser():
     def add_detector(p):
         p.add_argument("--min-face", type=int)
         p.add_argument("--scale-factor", type=float)
+        cuts = ",".join(map(str, DetectorConfig.thresholds))
         p.add_argument("--thresholds", type=numbers, metavar="A,B,C",
-                       help="per-stage face score cuts")
+                       help=f"per-stage face score cuts (default {cuts})")
 
     p = sub.add_parser("detect", help="write face boxes for a frame stream")
     add_weights(p)

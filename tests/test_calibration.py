@@ -1,9 +1,14 @@
 """The cascade's score cuts on multi-face scenes: a leak gate over the
-whole pipeline.
+whole pipeline, and the margin the default cuts were calibrated with.
 
 Scenes are placed as the benchmark's frame workloads place them (a
 street camera with 0-3 small faces, a close-range camera with two large
 ones), but every frame draws a fresh background from its own seed.
+
+The default cuts were chosen on CALIBRATION_SEEDS, disjoint from the
+gate's seeds: a face survives a stage when its best candidate does, so
+per stage each cut is the largest multiple of 0.05 that lies at least
+MARGIN below the lowest best-candidate score of any truth face.
 """
 
 from dataclasses import dataclass
@@ -13,13 +18,21 @@ import pytest
 
 from conftest import TOY_CHIP
 from faceveil.denature import RedactionPolicy
-from faceveil.detect import DetectorConfig
-from faceveil.image import to_frame
+from faceveil.detect import (
+    DetectorConfig,
+    _stage1,
+    _stage2,
+    build_pyramid,
+    pnet_scan,
+    refinement_stage,
+)
+from faceveil.image import to_frame, to_planar
 from faceveil.pipeline import Pipeline, PipelineConfig
 from faceveil.recognize import ADULT, CHILD
 from faceveil.synth import ADULT_BASE, CHILD_BASE, box_iou, draw_face, textured_background
 
 IOU_MATCH = 0.5  # a truth face is covered by a box that overlaps it this much
+MARGIN = 0.05  # least gap between each stage's cut and its lowest truth-face score
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,7 @@ def scenes(seeds, closeup_every=4):
 
 
 GATE_SEEDS = range(6001, 6017)
+CALIBRATION_SEEDS = range(5001, 5401)  # tier-1 re-checks the first 16
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +116,37 @@ def test_no_protected_face_leaks(toy_weights, gallery20, gate_scenes):
                 leaked += not covered(box, redacted)
     assert protected >= 10
     assert (missed, leaked) == (0, 0)
+
+
+def best_match(truth_box, boxes, scores):
+    """Highest score among candidates at IoU >= IOU_MATCH with the truth box; 0 if none."""
+    boxes = np.asarray(boxes).reshape(-1, 4)
+    tx1, ty1, tx2, ty2 = truth_box
+    iw = np.clip(np.minimum(boxes[:, 2], tx2) - np.maximum(boxes[:, 0], tx1), 0.0, None)
+    ih = np.clip(np.minimum(boxes[:, 3], ty2) - np.maximum(boxes[:, 1], ty1), 0.0, None)
+    inter = iw * ih
+    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    iou = inter / (area + (tx2 - tx1) * (ty2 - ty1) - inter)
+    return float(scores[iou >= IOU_MATCH].max(initial=0.0))
+
+
+def test_default_cuts_keep_their_margin(toy_weights):
+    # new weights move the scores: re-calibrate when this fails, rather
+    # than let a face whose best candidate falls under a cut leak silently
+    lowest = [1.0, 1.0, 1.0]
+    for layout, frame, truth in scenes(CALIBRATION_SEEDS[:16]):
+        cfg = DetectorConfig(min_face_size=layout.min_face)
+        img = to_planar(frame)
+        cells = [pnet_scan(level, toy_weights, 0.0)[:2] for level in build_pyramid(img, cfg)]
+        rnet_in = _stage1(img, toy_weights, cfg)
+        onet_in = _stage2(img, rnet_in, toy_weights, cfg)
+        stages = (
+            (np.concatenate([b for b, _ in cells]), np.concatenate([s for _, s in cells])),
+            refinement_stage("rnet", img, rnet_in, toy_weights, 0.0)[:2],
+            refinement_stage("onet", img, onet_in, toy_weights, 0.0)[:2],
+        )
+        for k, (boxes, scores) in enumerate(stages):
+            for box, _ in truth:
+                lowest[k] = min(lowest[k], best_match(box, boxes, scores))
+    cuts = DetectorConfig().thresholds
+    assert all(low >= cut + MARGIN for low, cut in zip(lowest, cuts)), (lowest, cuts)

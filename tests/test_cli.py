@@ -708,3 +708,30 @@ def test_readme_commands_table_matches_parser():
     documented = set(re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.M))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_settings_table_matches_defaults():
+    # a changed default must not leave the docs stale: each default cell,
+    # given as its flag, must build the default PipelineConfig
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("A flag left out keeps its default:", 1)[1].split("\n\n", 2)[1]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| `--")]
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt: a for a in sub.choices["run"]._actions for opt in a.option_strings
+             if a.dest in _CONFIG_KEYS}
+    run = ["run", "--weights", "w.mprw", "--input", "in", "--out-dir", "out"]
+    documented = set()
+    for flag_cell, _, default_cell in rows:
+        flag = flag_cell.strip("`").split()[0]
+        default = re.match(r"`([^`]+)`|(\S+)", default_cell)
+        value = default[1] or default[2]
+        documented.add(flag)
+        if flags[flag].nargs == 0:  # a switch: its default is being left out
+            assert value == "off", flag
+            argv = run
+        else:
+            argv = [*run, flag, value]
+        assert pipeline_config_from(_given(parser.parse_args(argv))) == PipelineConfig(), flag
+    assert documented == set(flags)
