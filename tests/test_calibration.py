@@ -14,7 +14,6 @@ MARGIN below the lowest best-candidate score of any truth face.
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from conftest import TOY_CHIP
 from faceveil.denature import RedactionPolicy
@@ -69,15 +68,15 @@ def scene(seed, layout, n_faces):
     return to_frame(img), placed
 
 
-def scenes(seeds, closeup_every=4):
-    """(layout, frame, truth) per seed: street frames cycle 0-3 faces, every
-    ``closeup_every``-th frame is a two-face close-up."""
+def scenes(seeds):
+    """(layout, frame, truth) per seed: every fourth frame is a two-face
+    close-up, and the street frames between them cycle through 0-3 faces."""
     out = []
     for i, seed in enumerate(seeds):
-        if i % closeup_every == closeup_every - 1:
+        if i % 4 == 3:
             out.append((CLOSEUP, *scene(seed, CLOSEUP, 2)))
         else:
-            out.append((STREET, *scene(seed, STREET, (i - i // closeup_every) % 4)))
+            out.append((STREET, *scene(seed, STREET, (i - i // 4) % 4)))
     return out
 
 
@@ -85,16 +84,11 @@ GATE_SEEDS = range(6001, 6017)
 CALIBRATION_SEEDS = range(5001, 5401)  # tier-1 re-checks the first 16
 
 
-@pytest.fixture(scope="module")
-def gate_scenes():
-    return scenes(GATE_SEEDS)
-
-
 def covered(box, boxes):
     return any(box_iou(box, b) >= IOU_MATCH for b in boxes)
 
 
-def test_no_protected_face_leaks(toy_weights, gallery20, gate_scenes):
+def test_no_protected_face_leaks(toy_weights, gallery20):
     pipes = {
         layout: Pipeline(toy_weights, gallery20, PipelineConfig(
             detector=DetectorConfig(min_face_size=layout.min_face),
@@ -105,7 +99,7 @@ def test_no_protected_face_leaks(toy_weights, gallery20, gate_scenes):
         for layout in (STREET, CLOSEUP)
     }
     protected = missed = leaked = 0
-    for layout, frame, truth in gate_scenes:
+    for layout, frame, truth in scenes(GATE_SEEDS):
         _, report = pipes[layout].process_frame(frame)
         found = [face["box"] for face in report["faces"]]
         redacted = [item["box"] for item in report["redactions"]]
@@ -120,33 +114,38 @@ def test_no_protected_face_leaks(toy_weights, gallery20, gate_scenes):
 
 def best_match(truth_box, boxes, scores):
     """Highest score among candidates at IoU >= IOU_MATCH with the truth box; 0 if none."""
-    boxes = np.asarray(boxes).reshape(-1, 4)
-    tx1, ty1, tx2, ty2 = truth_box
-    iw = np.clip(np.minimum(boxes[:, 2], tx2) - np.maximum(boxes[:, 0], tx1), 0.0, None)
-    ih = np.clip(np.minimum(boxes[:, 3], ty2) - np.maximum(boxes[:, 1], ty1), 0.0, None)
-    inter = iw * ih
-    area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
-    iou = inter / (area + (tx2 - tx1) * (ty2 - ty1) - inter)
-    return float(scores[iou >= IOU_MATCH].max(initial=0.0))
+    return max((s for b, s in zip(boxes.tolist(), scores.tolist())
+                if box_iou(truth_box, b) >= IOU_MATCH), default=0.0)
+
+
+def lowest_best_scores(weights, seeds):
+    """Per stage, the lowest best-candidate score of any truth face in ``scenes(seeds)``.
+
+    Stage 1 scores every proposal-net cell; stages 2 and 3 score what
+    reaches them under the default cuts.  Over all CALIBRATION_SEEDS this
+    is the calibration itself.
+    """
+    lowest = [1.0, 1.0, 1.0]
+    for layout, frame, truth in scenes(seeds):
+        cfg = DetectorConfig(min_face_size=layout.min_face)
+        img = to_planar(frame)
+        cells = [pnet_scan(level, weights, 0.0)[:2] for level in build_pyramid(img, cfg)]
+        rnet_in = _stage1(img, weights, cfg)
+        onet_in = _stage2(img, rnet_in, weights, cfg)
+        stages = (
+            (np.concatenate([b for b, _ in cells]), np.concatenate([s for _, s in cells])),
+            refinement_stage("rnet", img, rnet_in, weights, 0.0)[:2],
+            refinement_stage("onet", img, onet_in, weights, 0.0)[:2],
+        )
+        for k, (boxes, scores) in enumerate(stages):
+            for box, _ in truth:
+                lowest[k] = min(lowest[k], best_match(box, boxes, scores))
+    return lowest
 
 
 def test_default_cuts_keep_their_margin(toy_weights):
     # new weights move the scores: re-calibrate when this fails, rather
     # than let a face whose best candidate falls under a cut leak silently
-    lowest = [1.0, 1.0, 1.0]
-    for layout, frame, truth in scenes(CALIBRATION_SEEDS[:16]):
-        cfg = DetectorConfig(min_face_size=layout.min_face)
-        img = to_planar(frame)
-        cells = [pnet_scan(level, toy_weights, 0.0)[:2] for level in build_pyramid(img, cfg)]
-        rnet_in = _stage1(img, toy_weights, cfg)
-        onet_in = _stage2(img, rnet_in, toy_weights, cfg)
-        stages = (
-            (np.concatenate([b for b, _ in cells]), np.concatenate([s for _, s in cells])),
-            refinement_stage("rnet", img, rnet_in, toy_weights, 0.0)[:2],
-            refinement_stage("onet", img, onet_in, toy_weights, 0.0)[:2],
-        )
-        for k, (boxes, scores) in enumerate(stages):
-            for box, _ in truth:
-                lowest[k] = min(lowest[k], best_match(box, boxes, scores))
+    lowest = lowest_best_scores(toy_weights, CALIBRATION_SEEDS[:16])
     cuts = DetectorConfig().thresholds
     assert all(low >= cut + MARGIN for low, cut in zip(lowest, cuts)), (lowest, cuts)
