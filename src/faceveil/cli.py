@@ -255,10 +255,19 @@ def _cmd_run(args):
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
     n_frames = n_faces = n_redacted = 0
     timings = []
+    sources = {}  # output stem -> the directory entry that took it
     with open(report_path, "w", encoding="utf-8") as rep:
         for i, (source, frame) in enumerate(iter_input(args.input)):
+            if source.isdigit():
+                name = f"frame_{i:05d}"  # stream frames: unique by their index
+            else:
+                name = Path(source).stem
+                if name in sources:
+                    raise DataError(
+                        f"{sources[name]} and {source} would both be written to {name}.ppm"
+                    )
+                sources[name] = source
             out, report = pipe.process_frame(frame, i, source=source)
-            name = Path(source).stem if not source.isdigit() else f"frame_{i:05d}"
             save_ppm(out, out_dir / f"{name}.ppm")
             rep.write(report_line(report) + "\n")
             n_frames += 1

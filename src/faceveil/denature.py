@@ -3,11 +3,11 @@
 Three methods: pixelate (tile means, idempotent), Gaussian blur
 (separable, edge-replicated inside the region), and keyed scramble
 (pixel permutation plus XOR, exactly invertible with the key): scheme v2
-sorts SHAKE-256 keys; v1 (SHA-256 counter, Fisher-Yates) only decodes old
-frames.  Keystreams come from hashlib only, never from numpy's RNG.
+sorts SHAKE-256 keys.  Keystreams come from hashlib only, never from
+numpy's RNG.
 
 Each method obscures one region (``obscure``); one region loop,
-``_each_region``, runs it, or the inverse scramble, over the clipped
+``_each_region``, runs it, or ``Scramble.restore``, over the clipped
 boxes of a checked copy of the frame.
 """
 
@@ -69,6 +69,26 @@ class Blur:
         return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
+SCRAMBLE_VERSION = 2  # the scheme Scramble writes, recorded in its redaction log
+
+
+def _keystream(key, shape):
+    """Scheme v2 (permutation, (h*w, c) XOR pad) of an (h, w, c) region; see README.
+
+    Without a tied key every sort gives the stable order, so the stable sort
+    (about 5x slower) runs only on a tie.
+    """
+    n, c = shape[0] * shape[1], shape[2]
+    seed = len(key).to_bytes(8, "little") + key + b"scramble2|%dx%dx%d" % shape
+    stream = hashlib.shake_256(seed).digest(8 * n + c * n)
+    sort_keys = np.frombuffer(stream, "<u8", count=n)
+    perm = np.argsort(sort_keys)
+    ordered = sort_keys[perm]
+    if (ordered[1:] == ordered[:-1]).any():
+        perm = np.argsort(sort_keys, kind="stable")
+    return perm, np.frombuffer(stream, np.uint8, offset=8 * n).reshape(n, c)
+
+
 @dataclass(frozen=True)
 class Scramble:
     key: bytes
@@ -82,6 +102,13 @@ class Scramble:
         perm, pad = _keystream(self.key, region.shape)
         shuffled = region.reshape(pad.shape)[perm]
         return np.bitwise_xor(shuffled, pad, out=shuffled).reshape(region.shape)
+
+    def restore(self, region):
+        """``obscure`` undone: XOR the bytes again, then put each pixel back."""
+        perm, pad = _keystream(self.key, region.shape)
+        out = np.empty_like(pad)
+        out[perm] = region.reshape(pad.shape) ^ pad
+        return out.reshape(region.shape)
 
 
 @dataclass(frozen=True)
@@ -133,96 +160,6 @@ def gaussian_kernel(sigma):
     return k / k.sum()
 
 
-SCRAMBLE_VERSION = 2  # the scheme Scramble writes, recorded in its redaction log
-
-
-def _keystream(key, shape):
-    """Scheme v2 (permutation, (h*w, c) XOR pad) of an (h, w, c) region; see README.
-
-    Without a tied key every sort gives the stable order, so the stable sort
-    (about 5x slower) runs only on a tie.
-    """
-    n, c = shape[0] * shape[1], shape[2]
-    seed = len(key).to_bytes(8, "little") + key + b"scramble2|%dx%dx%d" % shape
-    stream = hashlib.shake_256(seed).digest(8 * n + c * n)
-    sort_keys = np.frombuffer(stream, "<u8", count=n)
-    perm = np.argsort(sort_keys)
-    ordered = sort_keys[perm]
-    if (ordered[1:] == ordered[:-1]).any():
-        perm = np.argsort(sort_keys, kind="stable")
-    return perm, np.frombuffer(stream, np.uint8, offset=8 * n).reshape(n, c)
-
-
-def _unscramble(region, key):
-    """Scramble(key).obscure undone: XOR the bytes again, then put each pixel back."""
-    perm, pad = _keystream(key, region.shape)
-    out = np.empty_like(pad)
-    out[perm] = region.reshape(pad.shape) ^ pad
-    return out.reshape(region.shape)
-
-
-class _KeyStream:
-    """Scheme v1 (decode only): SHA-256(key | tag | counter), counter LE u64."""
-
-    def __init__(self, key, tag):
-        self._prefix = bytes(key) + b"|" + tag + b"|"
-        self._counter = 0
-        self._buf = b""
-
-    def take(self, n):
-        if len(self._buf) < n:
-            # join the digests once: a bytes += per digest is quadratic in n
-            blocks = -(-(n - len(self._buf)) // 32)
-            counters = range(self._counter, self._counter + blocks)
-            self._buf += b"".join(
-                hashlib.sha256(self._prefix + c.to_bytes(8, "little")).digest() for c in counters
-            )
-            self._counter += blocks
-        out, self._buf = self._buf[:n], self._buf[n:]
-        return out
-
-
-# most draws decoded per keystream read; bounds the decode buffers
-_DRAW_CHUNK = 4096
-
-
-def _permutation(n, key, shape):
-    """Fisher-Yates over range(n), descending, by rejection sampling.
-
-    The draw for index i reads the next max(1, ceil(bits(i) / 8))
-    keystream bytes as a little-endian int r, and retries while r falls
-    in the biased tail of its byte space; j = r % (i + 1).  Draws of one
-    byte width are decoded together, never more chunks than draws are
-    left at that width, so no byte past the last draw is read.
-    """
-    ks = _KeyStream(key, b"perm|%dx%d" % shape)
-    perm = list(range(n))
-    i = n - 1
-    while i > 0:
-        nbytes = max(1, (i.bit_length() + 7) // 8)
-        space = 256**nbytes
-        count = min(i - 256 ** (nbytes - 1) + 1, _DRAW_CHUNK)
-        chunks = np.zeros((count, 8), dtype=np.uint8)
-        chunks[:, :nbytes] = np.frombuffer(ks.take(count * nbytes), np.uint8).reshape(count, nbytes)
-        for r in chunks.view("<u8").ravel().tolist():
-            bound = i + 1
-            if r < space - space % bound:
-                j = r % bound
-                perm[i], perm[j] = perm[j], perm[i]
-                i -= 1
-    return np.array(perm, dtype=np.int64)
-
-
-def _unscramble_v1(region, key):
-    """Undo a scheme v1 scramble: SHA-256 counter XOR, then Fisher-Yates."""
-    h, w, c = region.shape
-    pad = _KeyStream(key, b"xor|%dx%d" % (h, w)).take(region.size)
-    unxored = region.reshape(h * w, c) ^ np.frombuffer(pad, np.uint8).reshape(h * w, c)
-    out = np.empty_like(unxored)
-    out[_permutation(h * w, key, (h, w))] = unxored
-    return out.reshape(h, w, c)
-
-
 def _clamp_box(box, height, width):
     """A float box with each edge clamped to the frame; +-inf edges land on its border."""
     return tuple(min(max(float(v), 0.0), side) for v, side in zip(box, (width, height) * 2))
@@ -256,12 +193,13 @@ def denature_regions(frame, boxes, method):
 
 
 def descramble_regions(frame, boxes, key, version=SCRAMBLE_VERSION):
-    """Exact inverse of Scramble over the same boxes and key, in the logged scheme ``version``."""
-    unscramble = {1: _unscramble_v1, 2: _unscramble}.get(version)
-    if unscramble is None:
-        raise ConfigError(f"unknown scramble version {version!r}; known: 1, 2")
+    """Exact inverse of Scramble(key) over the same boxes, in the logged scheme ``version``."""
+    if version != SCRAMBLE_VERSION:
+        raise ConfigError(
+            f"unknown scramble version {version!r}; the one known scheme is {SCRAMBLE_VERSION}"
+        )
     # undo in reverse order so stacked overlapping boxes unwind correctly
-    return _each_region(frame, reversed(list(boxes)), lambda region: unscramble(region, key))
+    return _each_region(frame, reversed(list(boxes)), Scramble(key).restore)
 
 
 def expand_box(box, fraction):

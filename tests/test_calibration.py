@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from conftest import TOY_CHIP
-from faceveil.denature import RedactionPolicy
+from faceveil.denature import RedactionPolicy, _clip_box
 from faceveil.detect import (
     DetectorConfig,
     _stage1,
@@ -47,7 +47,8 @@ CLOSEUP = Layout(480, 640, (90.0, 110.0), 80)
 
 
 def scene(seed, layout, n_faces):
-    """(uint8 frame, [(truth box, label)]): faces alternate child/adult, never overlap."""
+    """(uint8 frame, [(truth box, label, (cx, cy, rx, ry) of the drawn ellipse)]):
+    faces alternate child/adult, never overlap."""
     rng = np.random.default_rng(seed)
     img = textured_background(rng, layout.height, layout.width)
     placed = []
@@ -61,9 +62,9 @@ def scene(seed, layout, n_faces):
             cx = rng.uniform(ry + 2.0, layout.width - ry - 2.0)
             cy = rng.uniform(ry + 2.0, layout.height - ry - 2.0)
             box = (cx - ry, cy - ry, cx + ry, cy + ry)
-            if all(box_iou(box, b) < 0.02 for b, _ in placed):
+            if all(box_iou(box, b) < 0.02 for b, *_ in placed):
                 draw_face(img, cx, cy, rx, ry, tint, rng)
-                placed.append((box, label))
+                placed.append((box, label, (cx, cy, rx, ry)))
                 break
     return to_frame(img), placed
 
@@ -88,6 +89,18 @@ def covered(box, boxes):
     return any(box_iou(box, b) >= IOU_MATCH for b in boxes)
 
 
+def exposed_pixels(ellipse, boxes, height, width):
+    """How many pixels ``draw_face`` painted in the ellipse lie outside every box,
+    each box clipped to whole pixels as the redaction clips it."""
+    cx, cy, rx, ry = ellipse
+    yy, xx = np.mgrid[0:height, 0:width]
+    face = ((xx - cx) / rx) ** 2 + ((yy - cy) / ry) ** 2 <= 1.0
+    for box in boxes:
+        x1, y1, x2, y2 = _clip_box(box, height, width)
+        face[y1:y2, x1:x2] = False
+    return int(face.sum())
+
+
 def test_no_protected_face_leaks(toy_weights, gallery20):
     pipes = {
         layout: Pipeline(toy_weights, gallery20, PipelineConfig(
@@ -99,17 +112,22 @@ def test_no_protected_face_leaks(toy_weights, gallery20):
         for layout in (STREET, CLOSEUP)
     }
     protected = missed = leaked = 0
-    for layout, frame, truth in scenes(GATE_SEEDS):
+    exposed = []  # (seed, pixels) of each child face not wholly redacted
+    for seed, (layout, frame, truth) in zip(GATE_SEEDS, scenes(GATE_SEEDS)):
         _, report = pipes[layout].process_frame(frame)
         found = [face["box"] for face in report["faces"]]
         redacted = [item["box"] for item in report["redactions"]]
-        missed += sum(not covered(box, found) for box, _ in truth)
-        for box, label in truth:
+        missed += sum(not covered(box, found) for box, *_ in truth)
+        for box, label, ellipse in truth:
             if label == CHILD:
                 protected += 1
                 leaked += not covered(box, redacted)
+                n = exposed_pixels(ellipse, redacted, *frame.shape[:2])
+                if n:
+                    exposed.append((seed, n))
     assert protected >= 10
     assert (missed, leaked) == (0, 0)
+    assert exposed == []
 
 
 def best_match(truth_box, boxes, scores):
@@ -138,7 +156,7 @@ def lowest_best_scores(weights, seeds):
             refinement_stage("onet", img, onet_in, weights, 0.0)[:2],
         )
         for k, (boxes, scores) in enumerate(stages):
-            for box, _ in truth:
+            for box, *_ in truth:
                 lowest[k] = min(lowest[k], best_match(box, boxes, scores))
     return lowest
 

@@ -263,6 +263,24 @@ class TestRun:
         assert (out_dir / "frame_00001.ppm").exists()
         assert last_json(out)["redacted"] >= 1
 
+    def test_outputs_sharing_a_stem_exit_2(self, art, capsys, tmp_path):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for src, name in (("p0.ppm", "a.PPM"), ("p1.ppm", "a.ppm")):
+            (frames / name).write_bytes((art["portraits"] / src).read_bytes())
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--input", str(frames),
+            "--out-dir", str(out_dir), "--protect", "none", "--no-timing",
+        )
+        assert code == 2
+        assert "a.PPM and a.ppm would both be written to a.ppm" in err
+        # the first frame's output stands; the second is never written over it
+        assert sorted(p.name for p in out_dir.glob("*.ppm")) == ["a.ppm"]
+        np.testing.assert_array_equal(
+            load_ppm(out_dir / "a.ppm"), load_ppm(art["portraits"] / "p0.ppm")
+        )
+
     def test_closing_line_carries_stage_stats(self, art, capsys, tmp_path):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(

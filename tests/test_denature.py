@@ -188,52 +188,6 @@ class TestScramble:
         )
 
     @pytest.mark.parametrize(
-        "h, w",
-        [(2, 2), (23, 17), (16, 16), (1, 257), (257, 256)],
-        ids=["2x2", "23x17", "16x16", "1x257", "257x256"],
-    )
-    def test_matches_specified_keystream(self, h, w):
-        # scheme v1, which Scramble no longer writes, must still decode.
-        # Independent re-derivation of a v1 frame: SHA-256(key | tag | LE
-        # u64 counter) keystream, Fisher-Yates permutation by
-        # rejection-sampled bytes, then XOR of the shuffled pixel bytes;
-        # 23x17 spans 37 pad blocks and draws 2-byte indices, 16x16 draws
-        # only 1-byte indices, 1x257 one 2-byte draw then 1-byte draws, and
-        # 257x256 3-byte draws for its top 256 indices
-        key = b"vector"
-        frame = (np.arange(h * w * 3) % 256).astype(np.uint8).reshape(h, w, 3)
-
-        def stream(tag):
-            counter = 0
-            while True:
-                block = hashlib.sha256(
-                    key + b"|" + tag + b"|" + counter.to_bytes(8, "little")
-                ).digest()
-                counter += 1
-                yield from block
-
-        def randint(gen, bound):
-            nbytes = max(1, (int(bound - 1).bit_length() + 7) // 8)
-            limit = (256**nbytes // bound) * bound
-            while True:
-                r = int.from_bytes(bytes(next(gen) for _ in range(nbytes)), "little")
-                if r < limit:
-                    return r % bound
-
-        perm_gen = stream(b"perm|%dx%d" % (h, w))
-        perm = list(range(h * w))
-        for i in range(h * w - 1, 0, -1):
-            j = randint(perm_gen, i + 1)
-            perm[i], perm[j] = perm[j], perm[i]
-        shuffled = frame.reshape(h * w, 3)[perm].reshape(-1)
-        xor_gen = stream(b"xor|%dx%d" % (h, w))
-        pad = bytes(next(xor_gen) for _ in range(shuffled.size))
-        want = (shuffled ^ np.frombuffer(pad, dtype=np.uint8)).reshape(h, w, 3)
-
-        restored = descramble_regions(want, [(0, 0, w, h)], key, version=1)
-        np.testing.assert_array_equal(restored, frame)
-
-    @pytest.mark.parametrize(
         "h, w", [(2, 2), (23, 17), (1, 257), (257, 256)], ids=["2x2", "23x17", "1x257", "257x256"]
     )
     def test_matches_specified_keystream_v2(self, h, w):
@@ -255,11 +209,18 @@ class TestScramble:
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(descramble_regions(got, [(0, 0, w, h)], key), frame)
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 1, 3])
     def test_unknown_version_rejected(self, version):
         frame = np.zeros((4, 4, 3), dtype=np.uint8)
         with pytest.raises(ConfigError, match="scramble version"):
             descramble_regions(frame, [(0, 0, 4, 4)], b"k", version=version)
+
+    @pytest.mark.parametrize("key", [b"", "k"], ids=["empty", "str"])
+    def test_bad_descramble_key_rejected(self, key):
+        # the key Scramble would refuse to write with is refused to read with
+        frame = np.zeros((4, 4, 3), dtype=np.uint8)
+        with pytest.raises(ConfigError, match="scramble key"):
+            descramble_regions(frame, [(0, 0, 4, 4)], key)
 
     @staticmethod
     def _shuffled_ids(ids, key):
