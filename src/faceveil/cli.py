@@ -4,7 +4,7 @@ Subcommands: detect (boxes only), run (detect + classify + redact,
 closing with per-stage timing stats), build-gallery (embed labeled
 chips), eval (score a report stream), train-toy (synthetic training) and
 gradcheck (finite-difference audit).  Exit codes: 0 success, 1 usage or
-configuration, 2 bad data, 3 violated runtime invariant.
+configuration, 2 bad data, 3 violated invariant or degenerate input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ from pathlib import Path
 from .denature import RedactionPolicy, parse_method
 from .detect import DetectorConfig, detect_faces
 from .embed import align_crop
-from .errors import ConfigError, DataError, FaceveilError, InvariantError, TrainingDiverged
+from .errors import (
+    ConfigError,
+    DataError,
+    DegenerateInputError,
+    FaceveilError,
+    InvariantError,
+    TrainingDiverged,
+)
 from .image import to_planar
 from .imgio import iter_frames, load_image, save_ppm, text_lines
 from .models import detector_nets
@@ -80,7 +87,6 @@ def build_parser():
     # them to the config dataclasses
     def add_detector(p):
         p.add_argument("--min-face", type=int)
-        p.add_argument("--scale-factor", type=float)
         cuts = ",".join(map(str, DetectorConfig.thresholds))
         p.add_argument("--thresholds", type=numbers, metavar="A,B,C",
                        help=f"per-stage face score cuts (default {cuts})")
@@ -102,7 +108,6 @@ def build_parser():
     p.add_argument("--method", help="pixelate[:block] | blur[:sigma] | scramble:HEX")
     p.add_argument("--protect", choices=sorted(PROTECT_CHOICES))
     p.add_argument("--box-expansion", type=float)
-    p.add_argument("--no-redact-ties", dest="redact_on_tie", action="store_false", default=None)
     p.add_argument("--no-timing", action="store_true",
                    help="omit timing for byte-identical reports")
     add_detector(p)
@@ -146,13 +151,11 @@ def _merged_weights(paths):
 # command line key -> (PipelineConfig part, field, conversion)
 _CONFIG_KEYS = {
     "min_face": ("detector", "min_face_size", None),
-    "scale_factor": ("detector", "scale_factor", None),
     "thresholds": ("detector", "thresholds", None),
     "chip_size": ("pipeline", "chip_size", None),
     "threshold": ("pipeline", "threshold", None),
     "method": ("pipeline", "method", parse_method),
     "protect": ("policy", "labels", PROTECT_CHOICES.__getitem__),
-    "redact_on_tie": ("policy", "redact_on_tie", None),
     "box_expansion": ("policy", "box_expansion", None),
 }
 
@@ -354,22 +357,24 @@ _COMMANDS = {
 }
 
 
+# error class -> exit code; an error takes the code of its nearest listed class
+_EXIT_CODES = {
+    ConfigError: 1,
+    DataError: 2,
+    OSError: 2,
+    DegenerateInputError: 3,
+    InvariantError: 3,
+    TrainingDiverged: 3,
+}
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"faceveil: {e}", file=sys.stderr)
-        return 1
-    except DataError as e:
-        print(f"faceveil: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"faceveil: {e}", file=sys.stderr)
-        return 2
-    except (InvariantError, TrainingDiverged) as e:
-        print(f"faceveil: {e}", file=sys.stderr)
-        return 3
+        return next(_EXIT_CODES[c] for c in type(e).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

@@ -116,15 +116,13 @@ class RedactionPolicy:
     """Which classified faces get obscured and by how much extra margin.
 
     Faces whose label is in ``labels`` are redacted; a probe sitting
-    exactly on the classification boundary counts as a tie and is
-    redacted too when ``redact_on_tie`` is set (privacy-preferring
-    default).  Boxes grow by ``box_expansion`` of their size about the
-    center before redaction so hairline leaks at the crop edge are
-    covered.
+    exactly on the classification boundary counts as a tie and is always
+    redacted too, since either call could be wrong.  Boxes grow by
+    ``box_expansion`` of their size about the center before redaction so
+    hairline leaks at the crop edge are covered.
     """
 
     labels: frozenset = frozenset({"child"})
-    redact_on_tie: bool = True
     box_expansion: float = 0.1
 
     def __post_init__(self):
@@ -226,7 +224,7 @@ def apply_policy(frame, faces, policy, method):
     for i, (box, label, score, tie) in enumerate(faces):
         if label is not None and label in policy.labels:
             reason = "label"
-        elif tie and policy.redact_on_tie:
+        elif tie:
             reason = "tie"
         else:
             continue

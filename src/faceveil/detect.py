@@ -4,12 +4,13 @@ Stage 1 scans an image pyramid with the fully convolutional proposal
 net, stages 2 and 3 rescore square crops of the surviving candidates.
 Boxes travel through the cascade as float64 arrays of (x1, y1, x2, y2)
 in original-frame pixel coordinates with exclusive right/bottom edges;
-the dataclasses below are the public face of the results.  The four
-overlap cuts are fixed, as in the reference MTCNN cascade: IoU 0.5
-within one pyramid level, then IoU 0.7 across levels and after stage 2,
-and min-overlap 0.7 after stage 3.  The three score cuts are not: their
-defaults are calibrated for the toy weights trained from the default
-seeds, and other weights need cuts of their own.
+the dataclasses below are the public face of the results.  The pyramid
+step (SCALE_FACTOR) and the four overlap cuts are fixed, as in the
+reference MTCNN cascade: IoU 0.5 within one pyramid level, then IoU 0.7
+across levels and after stage 2, and min-overlap 0.7 after stage 3.
+The three score cuts are not: their defaults are calibrated for the toy
+weights trained from the default seeds on this pyramid, and other
+weights need cuts of their own.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .models import detector_nets
 
 CELL = 12  # proposal-net receptive field
 STRIDE = 2  # effective stride of the proposal net (one 2x2/2 pool)
+SCALE_FACTOR = 0.709  # side ratio of neighbouring pyramid levels
 NMS_PER_SCALE = 0.5  # IoU cut within one pyramid level
 NMS_STAGE1 = 0.7  # IoU cut across pyramid levels
 NMS_STAGE2 = 0.7  # IoU cut after stage 2
@@ -57,7 +59,6 @@ class Detection:
 @dataclass(frozen=True)
 class DetectorConfig:
     min_face_size: int = 20
-    scale_factor: float = 0.709
     # face-score cut per stage, calibrated for the toy weights from the
     # default seeds: each sits at least 0.05 below the lowest score that
     # any face of held-out synthetic scenes reached at that stage.  MTCNN's
@@ -67,22 +68,20 @@ class DetectorConfig:
     def __post_init__(self):
         if self.min_face_size < CELL:
             raise ConfigError(f"min_face_size must be >= {CELL}, got {self.min_face_size}")
-        if not 0.0 < self.scale_factor < 1.0:
-            raise ConfigError(f"scale_factor must be in (0, 1), got {self.scale_factor}")
         if len(self.thresholds) != 3 or any(not 0.0 <= t <= 1.0 for t in self.thresholds):
             raise ConfigError(f"need three score thresholds in [0, 1], got {self.thresholds}")
 
 
-def pyramid_scales(height, width, min_face_size=20, scale_factor=0.709):
-    """Scales s_k = (12 / min_face) * factor^k while the short side stays >= 12."""
+def pyramid_scales(height, width, min_face_size):
+    """Scales s_k = (12 / min_face) * SCALE_FACTOR^k while the short side stays >= 12."""
     if min(height, width) < CELL:
         return []
     base = CELL / float(min_face_size)
     short = min(height, width)
     scales = []
     k = 0
-    while short * base * scale_factor**k >= CELL:
-        scales.append(base * scale_factor**k)
+    while short * base * SCALE_FACTOR**k >= CELL:
+        scales.append(base * SCALE_FACTOR**k)
         k += 1
     return scales
 
@@ -103,7 +102,7 @@ def build_pyramid(img, config=None):
     if img.ndim != 3 or img.shape[0] != 3:
         raise ConfigError(f"expected (3,H,W) image, got shape {img.shape}")
     _, h, w = img.shape
-    scales = pyramid_scales(h, w, cfg.min_face_size, cfg.scale_factor)
+    scales = pyramid_scales(h, w, cfg.min_face_size)
     if not scales:
         raise DegenerateInputError(
             f"no {CELL}x{CELL} window fits a {h}x{w} image at min_face_size "

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError
 from .image import crop_resize, normalize_pixels
-from .models import embedding_net
+from .models import CHIP_SIZE, embedding_net
 
-CHIP_SIZE = 160
 NORM_TOL = 1e-3
 
 

@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .nn import Conv2D, FullyConnected, L2Normalize, MaxPool2D, Network, PReLU, Softmax
 
 EMBED_DIM = 128
+CHIP_SIZE = 32  # embedder input side, in training and inference alike
 HEAD_INIT = 0.05  # near-zero head outputs keep the first SGD steps sane
 
 
@@ -93,11 +94,11 @@ def output_net():
 
 
 @functools.cache
-def embedding_net(input_size=160):
+def embedding_net(input_size=CHIP_SIZE):
     """Face embedder: aligned chip -> unit-norm 128-d vector.
 
     input_size must be a multiple of 16 so the three pool stages land on
-    an integer grid (160 for real chips, 32 for the toy training task).
+    an integer grid; weights fit only the size they were trained at.
     Built once per size; layers own no arrays, so callers share it.
     """
     s = int(input_size)

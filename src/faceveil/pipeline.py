@@ -21,7 +21,7 @@ from .embed import align_crop, embed_chip
 from .errors import ConfigError, DataError, InvariantError
 from .image import to_planar
 from .imgio import check_frame
-from .models import detector_nets, embedding_net
+from .models import CHIP_SIZE, detector_nets, embedding_net
 from .recognize import LABELS, check_threshold, classify, compute_roc
 
 STAGES = ("detect_ms", "embed_ms", "classify_ms", "denature_ms")
@@ -32,7 +32,7 @@ TIMING_HEADROOM = 0.05  # the total may exceed the stage sum by this share
 @dataclass(frozen=True)
 class PipelineConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    chip_size: int = 160
+    chip_size: int = CHIP_SIZE
     threshold: float = 0.0  # classify margin cut
     method: object = field(default_factory=Pixelate)
     policy: RedactionPolicy = field(default_factory=RedactionPolicy)

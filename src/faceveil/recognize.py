@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FaceveilError
+from .errors import ConfigError, DataError, DegenerateInputError, InvariantError
 from .models import EMBED_DIM
 from .nn import load_weights, save_weights
 
@@ -98,8 +98,9 @@ def gallery_build(chips, labels, weights, note=""):
     """Embed labeled face chips into a Gallery, tolerating bad samples.
 
     Returns (gallery, failures) where failures is a list of
-    (index, message) for chips that could not be embedded; the gallery is
-    built from the rest.  Zero usable samples still return an (empty,
+    (index, message) for chips whose own pixels embed to a degenerate or
+    non-unit vector; the gallery is built from the rest, and any other
+    error propagates.  Zero usable samples still return an (empty,
     unusable) gallery so the caller can decide how loudly to complain.
     """
     from .embed import embed_chip  # local import to avoid a cycle
@@ -112,7 +113,7 @@ def gallery_build(chips, labels, weights, note=""):
     for i, (chip, label) in enumerate(zip(chips, labels)):
         try:
             entries.append((label, embed_chip(chip, weights)))
-        except FaceveilError as e:
+        except (DegenerateInputError, InvariantError) as e:
             failures.append((i, str(e)))
     built = note or f"built from {len(entries)} of {len(chips)} chips"
     return build_gallery(entries, note=built), failures

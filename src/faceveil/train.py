@@ -27,12 +27,15 @@ from .losses import (
     select_triplets,
     triplet_loss,
 )
-from .models import detector_nets, embedding_net
+from .models import CHIP_SIZE, detector_nets, embedding_net
 from .nn import WeightStore, save_weights
 from .synth import make_det_batch, make_face_chip
 from .recognize import ADULT, CHILD
 
 TASKS = ("detector", "embedder")
+# multitask loss weights of classification, box offsets and landmarks (MTCNN's P-/R-Net)
+DET_WEIGHT, BOX_WEIGHT, LMK_WEIGHT = 1.0, 0.5, 0.5
+CLIP_NORM = 5.0  # global gradient-norm cap per SGD step
 
 
 @dataclass(frozen=True)
@@ -43,13 +46,8 @@ class TrainerConfig:
     epochs: int = 5
     margin: float = 0.2
     seed: int = 42
-    # multitask loss weights: classification, box offsets, landmarks
-    det_weight: float = 1.0
-    box_weight: float = 0.5
-    lmk_weight: float = 0.5
     n_train: int = 600  # patches per stage / chips for the embedder
-    chip_size: int = 32
-    clip_norm: float = 5.0  # global gradient-norm cap per step, 0 disables
+    chip_size: int = CHIP_SIZE
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -89,7 +87,7 @@ def write_metrics(history, path):
             f.write(f"{epoch},{loss:.9g},{acc:.9g}\n")
 
 
-def multitask_loss(heads, batch, config):
+def multitask_loss(heads, batch):
     """Weighted multitask loss of one cascade stage over a minibatch.
 
     heads are the (N, ...) outputs of a forward over the batch's samples.
@@ -103,15 +101,15 @@ def multitask_loss(heads, batch, config):
     prob = np.asarray(heads["prob"], dtype=np.float64)
     ce, dp = cross_entropy_loss(prob.reshape(n, 2, -1)[:, 1, 0], labels)
     g_prob = np.zeros_like(prob)
-    g_prob.reshape(n, 2, -1)[:, 1, 0] = config.det_weight * n * dp
-    total = config.det_weight * n * ce
+    g_prob.reshape(n, 2, -1)[:, 1, 0] = DET_WEIGHT * n * dp
+    total = DET_WEIGHT * n * ce
     parts = {"det": n * ce}
     head_grads = {"prob": g_prob}
     face = labels == 1
     lmk = face & np.array([s.lmk_target is not None for s in batch])
     for head, part, target, mask, weight, loss_fn in (
-        ("box", "box", "box_target", face, config.box_weight, box_loss),
-        ("landmarks", "lmk", "lmk_target", lmk, config.lmk_weight, landmark_loss),
+        ("box", "box", "box_target", face, BOX_WEIGHT, box_loss),
+        ("landmarks", "lmk", "lmk_target", lmk, LMK_WEIGHT, landmark_loss),
     ):
         k = int(np.count_nonzero(mask))
         if not k or head not in heads:
@@ -131,10 +129,9 @@ def _sgd_step(weights, grads, scale, config):
     """SGD update from scaled, norm-capped batch gradients; raises if a tensor overflows."""
     stepped = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        if config.clip_norm:
-            norm = np.sqrt(sum(float(np.sum((scale * g) ** 2)) for g in grads.values()))
-            if norm > config.clip_norm:
-                scale *= config.clip_norm / norm
+        norm = np.sqrt(sum(float(np.sum((scale * g) ** 2)) for g in grads.values()))
+        if norm > CLIP_NORM:
+            scale *= CLIP_NORM / norm
         step = config.learning_rate * scale
         for name, w in weights.items():
             stepped[name] = (w.astype(np.float64) - step * grads[name]).astype(np.float32)
@@ -180,7 +177,7 @@ def _train_stage(stage, net, config, rng, history):
     labels = np.array([sample.label for sample in data])
 
     def batch_loss(heads, idx):
-        total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx], config)
+        total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx])
         p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
         hits = int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
         return total, head_grads, len(idx), hits

@@ -19,7 +19,7 @@ from faceveil.recognize import ADULT, CHILD, gallery_build
 from faceveil.synth import make_face_chip, make_portrait
 from faceveil.train import TrainerConfig, train_toy
 
-TOY_CHIP = 32  # matches TrainerConfig.chip_size
+TOY_CHIP = 32  # matches models.CHIP_SIZE, the default of training and inference
 
 
 def chip_batch(seed, n, size=TOY_CHIP):

@@ -5,6 +5,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -180,7 +181,7 @@ class TestDetect:
         assert "thresholds" in err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--min-face", "5"), ("--scale-factor", "nan"), ("--thresholds", "nan,0.7,0.7"),
+        ("--min-face", "5"), ("--thresholds", "nan,0.7,0.7"),
     ])
     def test_bad_setting_exits_1(self, art, capsys, tmp_path, flag, value):
         out_file = tmp_path / "o.jsonl"
@@ -333,7 +334,6 @@ class TestRun:
     @pytest.mark.parametrize("flag, value", [
         ("--threshold", "nan"), ("--threshold", "inf"),
         ("--box-expansion", "nan"), ("--box-expansion", "inf"),
-        ("--scale-factor", "nan"),
         ("--thresholds", "0.6,0.7"), ("--thresholds", "nan,0.7,0.7"), ("--thresholds", "abc"),
         ("--min-face", "5"), ("--chip-size", "20"), ("--chip-size", "x"),
         ("--protect", "kids"), ("--method", "3"),
@@ -350,6 +350,23 @@ class TestRun:
         assert "Traceback" not in err
         assert out == ""
         assert not out_dir.exists()
+
+    def test_face_box_without_pixels_exits_3(self, art, toy_weights, capsys, tmp_path):
+        # O-Net offsets of 200 box widths move every final box off the frame,
+        # so the face chip holds no pixel: the run stops before the frame is written
+        weights = dict(toy_weights)
+        weights["onet.head_box.b"] = np.array([200, 0, 200, 0], dtype=np.float32)
+        crafted = tmp_path / "offside.mprw"
+        save_weights(weights, crafted)
+        out_dir = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "run", "--weights", str(crafted), "--gallery", art["gallery"],
+            "--chip-size", str(TOY_CHIP), "--input", art["stream"], "--out-dir", str(out_dir),
+        )
+        assert code == 3
+        assert err.startswith("faceveil: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(out_dir.glob("*.ppm")) == []
 
     def test_non_finite_weights_exit_2(self, art, capsys, tmp_path):
         weights = dict(load_weights(art["det_w"]))
@@ -450,6 +467,35 @@ class TestGalleryEvalFlow:
         assert last_json(stdout) == {"entries": 4, "skipped": 0}
         gallery = load_gallery(out)
         assert len(gallery) == 4
+
+    def test_chip_size_the_weights_do_not_fit_exits_1(self, art, chips_dir, capsys, tmp_path):
+        out = tmp_path / "g.mprw"
+        code, stdout, err = run_cli(
+            capsys, "build-gallery", "--weights", art["emb_w"],
+            "--input", str(chips_dir), "--labels", str(chips_dir / "labels.csv"),
+            "--out", str(out), "--chip-size", "48",
+        )
+        assert code == 1
+        assert err.startswith("faceveil: embed.fc1: ") and "skipping" not in err
+        assert stdout == "" and not out.exists()
+
+    def test_default_commands_work_together(self, art, chips_dir, capsys, tmp_path):
+        # no --chip-size anywhere: training, gallery and run share one default
+        emb_w, gallery, out_dir = tmp_path / "emb.mprw", tmp_path / "g.mprw", tmp_path / "o"
+        assert run_cli(capsys, "train-toy", "--task", "embedder", "--samples", "8",
+                       "--epochs", "1", "--out", str(emb_w))[0] == 0
+        code, stdout, _ = run_cli(
+            capsys, "build-gallery", "--weights", str(emb_w), "--input", str(chips_dir),
+            "--labels", str(chips_dir / "labels.csv"), "--out", str(gallery),
+        )
+        assert code == 0
+        assert last_json(stdout) == {"entries": 4, "skipped": 0}
+        code, stdout, _ = run_cli(
+            capsys, "run", "--weights", art["det_w"], "--weights", str(emb_w),
+            "--gallery", str(gallery), "--input", art["stream"], "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert last_json(stdout)["frames"] == 2
 
     def test_missing_chip_listed(self, art, chips_dir, capsys, tmp_path):
         labels = tmp_path / "labels.csv"
@@ -683,13 +729,12 @@ class TestPipelineConfigFrom:
         assert pipeline_config_from({}) == PipelineConfig()
 
     def test_run_flags_and_detect_flags_agree(self):
-        detector_flags = ["--min-face", "24", "--scale-factor", "0.5",
-                          "--thresholds", "0.5,0.6,0.8"]
+        detector_flags = ["--min-face", "24", "--thresholds", "0.5,0.6,0.8"]
         args = build_parser().parse_args([
             "run", "--weights", "w.mprw", "--input", "in", "--out-dir", "out",
             *detector_flags,
             "--threshold", "0.25", "--chip-size", "32", "--method", "blur:2",
-            "--protect", "all", "--box-expansion", "0.2", "--no-redact-ties",
+            "--protect", "all", "--box-expansion", "0.2",
         ])
         detect_args = build_parser().parse_args([
             "detect", "--weights", "w.mprw", "--input", "in", "--out", "o.jsonl",
@@ -697,10 +742,10 @@ class TestPipelineConfigFrom:
         ])
         cfg = pipeline_config_from(_given(args))
         assert pipeline_config_from(_given(detect_args)).detector == cfg.detector
-        assert cfg.detector == DetectorConfig(24, 0.5, (0.5, 0.6, 0.8))
+        assert cfg.detector == DetectorConfig(24, (0.5, 0.6, 0.8))
         assert cfg.chip_size == 32 and cfg.threshold == 0.25
         assert cfg.method == Blur(2.0)
-        assert cfg.policy == RedactionPolicy(frozenset({CHILD, ADULT}), False, 0.2)
+        assert cfg.policy == RedactionPolicy(frozenset({CHILD, ADULT}), 0.2)
 
 
     def test_every_setting_has_a_key(self):
@@ -711,6 +756,22 @@ class TestPipelineConfigFrom:
         settable |= {("policy", f.name) for f in fields(RedactionPolicy)}
         settable |= {("pipeline", f.name) for f in fields(PipelineConfig) if f.name not in fixed}
         assert reached == settable
+
+
+@pytest.mark.parametrize("command, out_flag, removed", [
+    ("detect", "--out", ["--scale-factor", "0.5"]),
+    ("run", "--out-dir", ["--scale-factor", "0.5"]),
+    ("run", "--out-dir", ["--no-redact-ties"]),
+], ids=["detect --scale-factor", "run --scale-factor", "run --no-redact-ties"])
+def test_fixed_settings_are_not_flags(art, capsys, tmp_path, command, out_flag, removed):
+    # the score cuts were calibrated on one pyramid step, and a tie is always
+    # redacted: neither is a setting
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, "--weights", art["det_w"],
+                             "--input", art["stream"], out_flag, str(out_path), *removed)
+    assert code == 1
+    assert err == f"faceveil: unrecognized arguments: {' '.join(removed)}\n"
+    assert out == "" and not out_path.exists()
 
 
 class TestIterInput:
@@ -726,6 +787,26 @@ def test_readme_commands_table_matches_parser():
     documented = set(re.findall(r"^\| `([a-z-]+)` \|", table, flags=re.M))
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_command_lines_and_flags_match_parser():
+    # a deleted or renamed flag must not leave a README line that fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    parts = readme.split("```")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in parts[1::2]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.lstrip().startswith("faceveil ")
+    ]
+    assert len(commands) >= 4  # the quick start's four commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # a line the parser refuses raises ConfigError
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for p in sub.choices.values() for a in p._actions for opt in a.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", "".join(parts[0::2])))
+    assert named and named <= accepted, named - accepted
 
 
 def test_readme_settings_table_matches_defaults():
@@ -746,10 +827,6 @@ def test_readme_settings_table_matches_defaults():
         default = re.match(r"`([^`]+)`|(\S+)", default_cell)
         value = default[1] or default[2]
         documented.add(flag)
-        if flags[flag].nargs == 0:  # a switch: its default is being left out
-            assert value == "off", flag
-            argv = run
-        else:
-            argv = [*run, flag, value]
-        assert pipeline_config_from(_given(parser.parse_args(argv))) == PipelineConfig(), flag
+        args = parser.parse_args([*run, flag, value])
+        assert pipeline_config_from(_given(args)) == PipelineConfig(), flag
     assert documented == set(flags)

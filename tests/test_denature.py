@@ -344,7 +344,6 @@ class TestRedactionPolicy:
     def test_defaults(self):
         policy = RedactionPolicy()
         assert policy.labels == frozenset({"child"})
-        assert policy.redact_on_tie is True
         assert policy.box_expansion == 0.1
 
     def test_labels_coerced_to_frozenset(self):
@@ -401,14 +400,9 @@ class TestApplyPolicy:
         rng = np.random.default_rng(16)
         frame = rand_frame(rng, 30, 30)
         faces = [((5, 5, 25, 25), "adult", 0.0, True)]  # tie on the boundary
-        on = RedactionPolicy(redact_on_tie=True, box_expansion=0.0)
-        out, log = apply_policy(frame, faces, on, Pixelate(4))
+        out, log = apply_policy(frame, faces, RedactionPolicy(box_expansion=0.0), Pixelate(4))
         assert log and log[0]["reason"] == "tie"
         assert not np.array_equal(out, frame)
-        off = RedactionPolicy(redact_on_tie=False, box_expansion=0.0)
-        out2, log2 = apply_policy(frame, faces, off, Pixelate(4))
-        assert log2 == []
-        np.testing.assert_array_equal(out2, frame)
 
     def test_unlabeled_face_untouched(self):
         rng = np.random.default_rng(17)

@@ -38,7 +38,7 @@ class TestPyramid:
         assert pyramid_scales(12, 12, min_face_size=12) == [1.0]
 
     def test_240px_default_schedule(self):
-        scales = pyramid_scales(240, 240, 20, 0.709)
+        scales = pyramid_scales(240, 240, 20)
         assert len(scales) == 8
         assert scales[0] == pytest.approx(0.6)
         for k, s in enumerate(scales):
@@ -57,7 +57,7 @@ class TestPyramid:
         rng = np.random.default_rng(0)
         img = rng.uniform(0, 255, size=(3, 100, 60)).astype(np.float32)
         levels = build_pyramid(img)
-        scales = pyramid_scales(100, 60)
+        scales = pyramid_scales(100, 60, DetectorConfig().min_face_size)
         assert [s for s, _ in levels] == pytest.approx(scales)
         for s, lv in levels:
             assert lv.shape == (3, int(np.ceil(100 * s)), int(np.ceil(60 * s)))
@@ -88,8 +88,6 @@ class TestDetectorConfig:
         "kwargs",
         [
             {"min_face_size": 11},
-            {"scale_factor": 1.0},
-            {"scale_factor": 0.0},
             {"thresholds": (0.5, 0.5)},
             {"thresholds": (0.5, 0.5, 1.5)},
         ],

@@ -108,8 +108,8 @@ class TestGalleryBuild:
             FaceChip(normalize_pixels(make_face_chip(rng, lb, 32)), (0, 0, 32, 32))
             for lb in (CHILD, ADULT, CHILD)
         ]
-        # wrong-size chip cannot pass the 32px embedder
-        chips.insert(1, FaceChip(np.zeros((3, 16, 16), dtype=np.float32), (0, 0, 16, 16)))
+        # a NaN chip embeds to a NaN vector, which fails the unit-norm check
+        chips.insert(1, FaceChip(np.full((3, 32, 32), np.nan, np.float32), (0, 0, 32, 32)))
         labels = [CHILD, ADULT, ADULT, CHILD]
         gallery, failures = gallery_build(chips, labels, embedder_training["result"].weights)
         assert len(gallery) == 3
@@ -119,10 +119,18 @@ class TestGalleryBuild:
     def test_all_bad_chips_empty_gallery(self, embedder_training):
         from faceveil.embed import FaceChip
 
-        bad = [FaceChip(np.zeros((3, 16, 16), dtype=np.float32), (0, 0, 16, 16))]
+        bad = [FaceChip(np.full((3, 32, 32), np.nan, np.float32), (0, 0, 32, 32))]
         gallery, failures = gallery_build(bad, [CHILD], embedder_training["result"].weights)
         assert len(gallery) == 0
         assert len(failures) == 1
+
+    def test_chip_size_the_weights_do_not_fit_propagates(self, embedder_training):
+        # a configuration error is the whole build's, not one chip's
+        from faceveil.embed import FaceChip
+
+        chip = FaceChip(np.zeros((3, 16, 16), dtype=np.float32), (0, 0, 16, 16))
+        with pytest.raises(ConfigError, match="embed.fc1"):
+            gallery_build([chip], [CHILD], embedder_training["result"].weights)
 
     def test_length_mismatch(self, embedder_training):
         with pytest.raises(ConfigError):
