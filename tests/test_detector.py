@@ -88,6 +88,8 @@ class TestDetectorConfig:
         "kwargs",
         [
             {"min_face_size": 11},
+            {"min_face_size": 0},
+            {"thresholds": (-0.1, 0.5, 0.5)},
             {"thresholds": (0.5, 0.5)},
             {"thresholds": (0.5, 0.5, 1.5)},
         ],
