@@ -104,7 +104,6 @@ def build_parser():
     p.add_argument("--report", metavar="FILE", help="report stream (default OUT_DIR/report.jsonl)")
     p.add_argument("--gallery", metavar="FILE", help="reference gallery (.mprw)")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--chip-size", type=int)
     p.add_argument("--method", help="pixelate[:block] | blur[:sigma] | scramble:HEX")
     p.add_argument("--protect", choices=sorted(PROTECT_CHOICES))
     p.add_argument("--box-expansion", type=float)
@@ -117,7 +116,6 @@ def build_parser():
     p.add_argument("--input", required=True, metavar="DIR", help="directory of chip images")
     p.add_argument("--labels", required=True, metavar="FILE", help="filename,label lines")
     p.add_argument("--out", required=True, metavar="FILE", help="gallery file to write (.mprw)")
-    p.add_argument("--chip-size", type=int, default=PipelineConfig.chip_size)
 
     p = sub.add_parser("eval", help="score a report stream against truth labels")
     p.add_argument("--reports", required=True, metavar="FILE")
@@ -131,12 +129,8 @@ def build_parser():
     p.add_argument("--out", required=True, metavar="FILE", help="weight file to write")
     p.add_argument("--metrics", metavar="FILE", help="per-epoch CSV")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", dest="learning_rate", type=float, metavar="LR")
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--margin", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--samples", dest="n_train", type=int, metavar="SAMPLES")
-    p.add_argument("--chip-size", type=int)
 
     p = sub.add_parser("gradcheck", help="finite-difference audit of losses and layers")
     p.add_argument("--seed", type=int, default=0)
@@ -152,7 +146,6 @@ def _merged_weights(paths):
 _CONFIG_KEYS = {
     "min_face": ("detector", "min_face_size", None),
     "thresholds": ("detector", "thresholds", None),
-    "chip_size": ("pipeline", "chip_size", None),
     "threshold": ("pipeline", "threshold", None),
     "method": ("pipeline", "method", parse_method),
     "protect": ("policy", "labels", PROTECT_CHOICES.__getitem__),
@@ -295,7 +288,7 @@ def _cmd_build_gallery(args):
         if not f.exists():
             raise DataError(f"label file names missing chip {name!r}")
         img = to_planar(load_image(f))
-        chips.append(align_crop(img, (0, 0, img.shape[2], img.shape[1]), args.chip_size))
+        chips.append(align_crop(img, (0, 0, img.shape[2], img.shape[1])))
         labels.append(truth[name])
         names.append(name)
     gallery, failures = gallery_build(chips, labels, weights)

@@ -38,9 +38,7 @@ def to_frame(img):
 
 def normalize_pixels(img):
     """Map 0..255 pixel values to roughly -1..1: (v - 127.5) / 128."""
-    return ((np.asarray(img, dtype=np.float32) - np.float32(127.5)) / np.float32(128.0)).astype(
-        np.float32
-    )
+    return (np.asarray(img, dtype=np.float32) - np.float32(127.5)) / np.float32(128.0)
 
 
 def _taps(n, out):

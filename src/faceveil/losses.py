@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigError
 
 P_CLAMP = 1e-7  # keep log() finite: p in [P_CLAMP, 1 - P_CLAMP]
+TRIPLET_MARGIN = 0.2  # FaceNet's hinge margin on squared embedding distances
 
 
 def cross_entropy_loss(p_face, y):
@@ -63,7 +64,7 @@ def landmark_loss(pred, target):
     return _squared_l2(pred, target)
 
 
-def triplet_loss(anchors, positives, negatives, margin=0.2):
+def triplet_loss(anchors, positives, negatives, margin=TRIPLET_MARGIN):
     """Hinged triplet loss, summed over the batch.
 
     L = sum_i max(0, |a_i - p_i|^2 - |a_i - n_i|^2 + margin).  Returns

@@ -42,7 +42,7 @@ def proposal_net():
         "prob": [Conv2D(f"{p}.head_prob", 32, 2, 1, init_scale=HEAD_INIT), Softmax()],
         "box": [Conv2D(f"{p}.head_box", 32, 4, 1, init_scale=HEAD_INIT)],
     }
-    return Network(p, (3, 12, 12), trunk, heads, fully_convolutional=True)
+    return Network(p, (3, 12, 12), trunk, heads)
 
 
 def refine_net():

@@ -8,11 +8,12 @@ Every method takes an (N, C, H, W) batch; a single image is a batch of
 one. The layers run in the kernels' batch layout, (C, N, H, W) maps and
 (F, N) vectors, and each head comes back with the batch axis first;
 ``backward`` takes head gradients in that shape and returns parameter
-gradients summed over the batch. Fully-convolutional networks accept any
-spatial size at or above the declared input shape; all other networks
-require an exact match. ``batch_block`` is the batch size whose largest
-im2col buffer fits IM2COL_BYTES, so each convolution of a block is one
-GEMM; callers split longer batches into blocks of that size.
+gradients summed over the batch. A network with no FullyConnected layer
+is fully convolutional and accepts any spatial size at or above the
+declared input shape; all other networks require an exact match.
+``batch_block`` is the batch size whose largest im2col buffer fits
+IM2COL_BYTES, so each convolution of a block is one GEMM; callers split
+longer batches into blocks of that size.
 
 ``forward`` is inference and may reorder work where the values stay
 the same. A PReLU whose slopes are all > 0 is increasing, so it
@@ -30,17 +31,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .layers import MaxPool2D, PReLU
+from .layers import FullyConnected, MaxPool2D, PReLU
 from .ops import IM2COL_BYTES
 
 
 class Network:
-    def __init__(self, name, input_shape, trunk, heads, fully_convolutional=False):
+    def __init__(self, name, input_shape, trunk, heads):
         self.name = name
         self.input_shape = tuple(input_shape)
         self.trunk = list(trunk)
         self.heads = {h: list(layers) for h, layers in heads.items()}
-        self.fully_convolutional = fully_convolutional
+        self.fully_convolutional = not any(
+            isinstance(layer, FullyConnected) for layer in self._all_layers()
+        )
         seen = set()
         for layer in self._all_layers():
             for pname in layer.param_shapes():

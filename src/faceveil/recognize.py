@@ -188,10 +188,17 @@ def compute_roc(scores, labels):
     n_neg = int(scores.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs at least one probe of each class")
+    if np.isnan(scores).any():
+        raise DataError("ROC scores must not be NaN")
     ts = np.concatenate([[np.inf], np.unique(scores)[::-1], [-np.inf]])
-    pred = scores[None, :] > ts[:, None]
-    tpr = np.count_nonzero(pred & pos[None, :], axis=1) / n_pos
-    fpr = np.count_nonzero(pred & ~pos[None, :], axis=1) / n_neg
+
+    def above(class_scores):
+        # scores > t for every t at once: one sort, then a bisection per threshold
+        ranked = np.sort(class_scores)
+        return ranked.size - np.searchsorted(ranked, ts, side="right")
+
+    tpr = above(scores[pos]) / n_pos
+    fpr = above(scores[~pos]) / n_neg
     auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
     return RocCurve(ts, fpr, tpr, auc)
 

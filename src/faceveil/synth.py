@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import bilinear_resize, crop_resize
+from .models import CHIP_SIZE
 from .recognize import ADULT, CHILD
 
 CHILD_BASE = (228.0, 168.0, 142.0)  # warm
@@ -157,7 +158,7 @@ def make_det_batch(rng, size, n, with_landmarks=False):
     return out
 
 
-def make_face_chip(rng, label, size=32):
+def make_face_chip(rng, label, size=CHIP_SIZE):
     """A single centered face filling most of a chip."""
     s = int(size)
     img = textured_background(rng, s, s)

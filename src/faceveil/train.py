@@ -11,7 +11,6 @@ through ``losses.probe_error``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, TrainingDiverged
 from .image import normalize_pixels
 from .losses import (
+    TRIPLET_MARGIN,
     box_loss,
     cross_entropy_loss,
     grad_check,
@@ -36,26 +36,21 @@ TASKS = ("detector", "embedder")
 # multitask loss weights of classification, box offsets and landmarks (MTCNN's P-/R-Net)
 DET_WEIGHT, BOX_WEIGHT, LMK_WEIGHT = 1.0, 0.5, 0.5
 CLIP_NORM = 5.0  # global gradient-norm cap per SGD step
+LEARNING_RATE = 0.03  # plain SGD step size
+BATCH_SIZE = 32  # samples per minibatch
 
 
 @dataclass(frozen=True)
 class TrainerConfig:
     task: str = "detector"
-    learning_rate: float = 0.03
-    batch_size: int = 32
     epochs: int = 5
-    margin: float = 0.2
     seed: int = 42
     n_train: int = 600  # patches per stage / chips for the embedder
-    chip_size: int = CHIP_SIZE
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        for name in ("learning_rate", "margin"):
-            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
-                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        for name in ("batch_size", "epochs", "n_train"):
+        for name in ("epochs", "n_train"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         _check_seed(self.seed)
@@ -132,7 +127,7 @@ def _sgd_step(weights, grads, scale, config):
         norm = np.sqrt(sum(float(np.sum((scale * g) ** 2)) for g in grads.values()))
         if norm > CLIP_NORM:
             scale *= CLIP_NORM / norm
-        step = config.learning_rate * scale
+        step = LEARNING_RATE * scale
         for name, w in weights.items():
             stepped[name] = (w.astype(np.float64) - step * grads[name]).astype(np.float32)
             if not np.isfinite(stepped[name]).all():
@@ -152,8 +147,8 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         loss_sum, n_hits, n_terms = 0.0, 0, 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            idx = order[start : start + BATCH_SIZE]
             heads, cache = net.forward_train(weights, pixels[idx])
             scored = batch_loss(heads, idx)
             if scored is None:
@@ -196,10 +191,10 @@ def _train_detector(config):
 
 def _train_embedder(config):
     rng = np.random.default_rng(config.seed)
-    net = embedding_net(config.chip_size)
+    net = embedding_net(CHIP_SIZE)
     weights = net.init_weights(rng)
     labels = np.array([CHILD if i % 2 == 0 else ADULT for i in range(config.n_train)])
-    pixels = np.stack([normalize_pixels(make_face_chip(rng, lb, config.chip_size)) for lb in labels])
+    pixels = np.stack([normalize_pixels(make_face_chip(rng, lb)) for lb in labels])
 
     def batch_loss(heads, idx):
         embs = np.asarray(heads["embedding"], dtype=np.float64)
@@ -207,10 +202,10 @@ def _train_embedder(config):
         if not triplets:
             return None
         ta, tp, tn = (np.array(col) for col in zip(*triplets))
-        loss, (da, dp, dn) = triplet_loss(embs[ta], embs[tp], embs[tn], config.margin)
+        loss, (da, dp, dn) = triplet_loss(embs[ta], embs[tp], embs[tn])
         d_ap = np.sum((embs[ta] - embs[tp]) ** 2, axis=1)
         d_an = np.sum((embs[ta] - embs[tn]) ** 2, axis=1)
-        n_sat = int(np.count_nonzero(d_ap + config.margin <= d_an))
+        n_sat = int(np.count_nonzero(d_ap + TRIPLET_MARGIN <= d_an))
         emb_grads = np.zeros_like(embs)
         np.add.at(emb_grads, ta, da)
         np.add.at(emb_grads, tp, dp)
@@ -332,7 +327,7 @@ def run_grad_checks(seed=0):
     pos = rng.normal(size=(5, 8))
     neg = rng.normal(size=(5, 8))
     report["loss_triplet"] = grad_check(
-        lambda a: (triplet_loss(a, pos, neg, 0.2)[0], triplet_loss(a, pos, neg, 0.2)[1][0]),
+        lambda a: (triplet_loss(a, pos, neg)[0], triplet_loss(a, pos, neg)[1][0]),
         rng.normal(size=(5, 8)),
     )
 

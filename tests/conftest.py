@@ -19,7 +19,7 @@ from faceveil.recognize import ADULT, CHILD, gallery_build
 from faceveil.synth import make_face_chip, make_portrait
 from faceveil.train import TrainerConfig, train_toy
 
-TOY_CHIP = 32  # matches models.CHIP_SIZE, the default of training and inference
+TOY_CHIP = 32  # matches models.CHIP_SIZE, the one chip size of training and the commands
 
 
 def chip_batch(seed, n, size=TOY_CHIP):

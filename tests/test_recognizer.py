@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,12 @@ class TestRoc:
             scores = (rng.integers(-4, 5, size=n) / 4.0).tolist()
             roc = compute_roc(scores, labels)
             assert roc.auc == pytest.approx(oracles.auc_pairwise(scores, labels), abs=1e-9)
+            # every point by a brute-force count of the rule "child iff score > t"
+            n_child = labels.count(CHILD)
+            for t, fpr, tpr in zip(roc.thresholds, roc.fpr, roc.tpr):
+                above = [lb for s, lb in zip(scores, labels) if s > t]
+                assert tpr == above.count(CHILD) / n_child
+                assert fpr == above.count(ADULT) / (n - n_child)
 
     def test_curve_is_monotone_with_sentinels(self):
         rng = np.random.default_rng(15)
@@ -270,6 +277,24 @@ class TestRoc:
         assert np.all(np.diff(roc.fpr) >= 0)
         assert np.all(np.diff(roc.tpr) >= 0)
         assert np.all(np.diff(roc.thresholds) < 0)
+
+    def test_memory_grows_with_the_probes_not_their_square(self):
+        # 10k probes: a (thresholds x probes) mask alone would take 100 MB
+        rng = np.random.default_rng(17)
+        scores = rng.normal(size=10_000)
+        labels = np.where(rng.integers(0, 2, size=10_000) == 1, CHILD, ADULT)
+        tracemalloc.start()
+        try:
+            roc = compute_roc(scores, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(roc.thresholds) == 10_002
+        assert peak < 20 * 2**20
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(DataError, match="NaN"):
+            compute_roc([0.1, float("nan")], [CHILD, ADULT])
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
