@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .embed import NORM_TOL, embed_chip
 from .errors import ConfigError, DataError, DegenerateInputError, InvariantError
 from .models import EMBED_DIM
 from .nn import load_weights, save_weights
@@ -64,9 +65,9 @@ class Gallery:
 
 
 def _check_unit_rows(rows, where=""):
-    """Raise DataError naming the first row whose norm is more than 1e-3 from 1."""
+    """Raise DataError naming the first row whose norm is more than NORM_TOL from 1."""
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
-    bad = ~(np.abs(norms - 1.0) <= 1e-3)  # also catches NaN
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"{where}entry {i}: reference norm {norms[i]:.6f} is not 1")
@@ -76,7 +77,7 @@ def build_gallery(entries, note=""):
     """Validate (label, vector) pairs into a Gallery.
 
     Labels must be "child" or "adult"; vectors must be 128-d and within
-    1e-3 of unit norm.  Values are kept as given (cast to float32) so a
+    NORM_TOL of unit norm.  Values are kept as given (cast to float32) so a
     save/load round trip is bit-exact.  Zero entries yield an empty
     gallery, which exists but cannot classify anything.
     """
@@ -103,8 +104,6 @@ def gallery_build(chips, labels, weights, note=""):
     error propagates.  Zero usable samples still return an (empty,
     unusable) gallery so the caller can decide how loudly to complain.
     """
-    from .embed import embed_chip  # local import to avoid a cycle
-
     chips = list(chips)
     labels = list(labels)
     if len(chips) != len(labels):

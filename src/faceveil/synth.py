@@ -5,11 +5,11 @@ on a smooth textured background.  Children get a warm skin tint, adults
 a cool one; that color gap is the signal the toy classifier learns.
 All generators take an explicit numpy Generator, so identical seeds give
 identical data.  Images are (3, H, W) float32 with 0..255 values.
+Cascade-stage patches come from ``make_det_batch`` as stacked arrays of
+images, labels, box targets and landmark targets, one row per patch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,17 +89,14 @@ def box_iou(a, b):
     return inter / union if union > 0 else 0.0
 
 
-@dataclass
-class DetSample:
-    """One training patch for a cascade stage."""
+def make_det_sample(rng, size, positive):
+    """One (3, s, s) training patch for a cascade stage.
 
-    image: np.ndarray  # (3, s, s) float32, 0..255
-    label: int  # 1 face, 0 background
-    box_target: np.ndarray  # (4,) offsets in crop-box units, zeros for negatives
-    lmk_target: np.ndarray | None  # (10,) unit-box (x, y) pairs, faces at s=48 only
-
-
-def make_det_sample(rng, size, positive, with_landmarks=False):
+    Returns (image, label, box target, landmark target): the image is
+    float32 0..255, the label 1 for a face and 0 for background, the box
+    target (4,) offsets and the landmark target (10,) (x, y) pairs, both
+    in crop-box units and zero for background.
+    """
     s = int(size)
     canvas = textured_background(rng, 2 * s, 2 * s)
     if not positive:
@@ -107,7 +104,7 @@ def make_det_sample(rng, size, positive, with_landmarks=False):
         bx = rng.uniform(0.0, 2 * s - b)
         by = rng.uniform(0.0, 2 * s - b)
         patch = crop_resize(canvas, (bx, by, bx + b, by + b), s)
-        return DetSample(patch.astype(np.float32), 0, np.zeros(4, np.float32), None)
+        return patch.astype(np.float32), 0, np.zeros(4, np.float32), np.zeros(10, np.float32)
 
     ry = s * rng.uniform(0.42, 0.55)
     rx = ry * rng.uniform(0.70, 0.85)
@@ -138,24 +135,23 @@ def make_det_sample(rng, size, positive, with_landmarks=False):
         ],
         dtype=np.float32,
     )
-    lmk = None
-    if with_landmarks:
-        lmk = np.array(
-            [(v - box[axis]) / bw for x, y in pts for axis, v in ((0, x), (1, y))],
-            dtype=np.float32,
-        )
+    lmk = np.array(
+        [(v - box[axis]) / bw for x, y in pts for axis, v in ((0, x), (1, y))],
+        dtype=np.float32,
+    )
     patch = crop_resize(canvas, box, s)
-    return DetSample(patch.astype(np.float32), 1, offsets, lmk)
+    return patch.astype(np.float32), 1, offsets, lmk
 
 
-def make_det_batch(rng, size, n, with_landmarks=False):
-    """n patches in shuffled order; patch i is a face when i % 100 < 50."""
-    out = []
-    for i in range(n):
-        positive = (i % 100) < 50
-        out.append(make_det_sample(rng, size, positive, with_landmarks))
-    rng.shuffle(out)
-    return out
+def make_det_batch(rng, size, n):
+    """n patches in shuffled order; patch i is a face when i % 100 < 50.
+
+    Returns the stacked make_det_sample columns: images (n, 3, s, s)
+    float32, labels (n,), box targets (n, 4) and landmark targets (n, 10).
+    """
+    samples = [make_det_sample(rng, size, i % 100 < 50) for i in range(n)]
+    order = rng.permutation(n)
+    return tuple(np.stack(column)[order] for column in zip(*samples))
 
 
 def make_face_chip(rng, label, size=CHIP_SIZE):

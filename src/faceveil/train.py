@@ -2,9 +2,11 @@
 
 Plain SGD over synthetic data, small enough to run inside the test
 suite.  Stage nets train on jittered face/background patches with the
-weighted multitask loss; the embedder trains on labeled chips with
+weighted multitask loss, fed row slices of ``make_det_batch``'s stacked
+images and targets; the embedder trains on labeled chips with
 semi-hard triplets; both run ``_fit``, the one epoch loop, with their
-own ``batch_loss``.  All parameters update in float32, losses and
+own ``batch_loss``.  An epoch that takes no SGD step raises
+``ConfigError``.  All parameters update in float32, losses and
 gradients are computed in float64.  The gradient checks all probe
 through ``losses.probe_error``.
 """
@@ -82,17 +84,18 @@ def write_metrics(history, path):
             f.write(f"{epoch},{loss:.9g},{acc:.9g}\n")
 
 
-def multitask_loss(heads, batch):
+def multitask_loss(heads, labels, box_targets, lmk_targets):
     """Weighted multitask loss of one cascade stage over a minibatch.
 
-    heads are the (N, ...) outputs of a forward over the batch's samples.
-    Returns (total, head_grads, parts), each the sum of the per-sample
-    terms.  Background patches contribute only the classification term;
-    landmark supervision applies only to faces that carry a landmark
-    target.
+    heads are the (N, ...) outputs of a forward over N patches; labels
+    (N,), box_targets (N, 4) and lmk_targets (N, 10) are the matching
+    rows of make_det_batch.  Returns (total, head_grads, parts), each the
+    sum of the per-sample terms.  Background patches contribute only the
+    classification term; faces add the box term, and the landmark term
+    where the net has a ``landmarks`` head.
     """
-    n = len(batch)
-    labels = np.array([s.label for s in batch], dtype=np.float64)
+    n = len(labels)
+    labels = np.asarray(labels, dtype=np.float64)
     prob = np.asarray(heads["prob"], dtype=np.float64)
     ce, dp = cross_entropy_loss(prob.reshape(n, 2, -1)[:, 1, 0], labels)
     g_prob = np.zeros_like(prob)
@@ -101,21 +104,19 @@ def multitask_loss(heads, batch):
     parts = {"det": n * ce}
     head_grads = {"prob": g_prob}
     face = labels == 1
-    lmk = face & np.array([s.lmk_target is not None for s in batch])
-    for head, part, target, mask, weight, loss_fn in (
-        ("box", "box", "box_target", face, BOX_WEIGHT, box_loss),
-        ("landmarks", "lmk", "lmk_target", lmk, LMK_WEIGHT, landmark_loss),
+    k = int(np.count_nonzero(face))
+    for head, part, targets, weight, loss_fn in (
+        ("box", "box", box_targets, BOX_WEIGHT, box_loss),
+        ("landmarks", "lmk", lmk_targets, LMK_WEIGHT, landmark_loss),
     ):
-        k = int(np.count_nonzero(mask))
         if not k or head not in heads:
             continue
         pred = np.asarray(heads[head], dtype=np.float64).reshape(n, -1)
-        targets = np.array([getattr(batch[i], target) for i in np.flatnonzero(mask)])
-        loss, grad = loss_fn(pred[mask], targets)
+        loss, grad = loss_fn(pred[face], targets[face])
         total += weight * k * loss
         parts[part] = k * loss
         g = np.zeros_like(pred)
-        g[mask] = weight * k * grad
+        g[face] = weight * k * grad
         head_grads[head] = g.reshape(np.shape(heads[head]))
     return total, head_grads, parts
 
@@ -141,7 +142,8 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
     batch_loss(heads, idx) scores the minibatch of sample indices idx and
     returns (loss, head_grads, terms, hits), or None to skip the batch.
     Each step scales the batch-summed gradients by 1/terms.  Every epoch
-    appends (stage, epoch, loss per term, hits per term) to history.
+    appends (stage, epoch, loss per term, hits per term) to history; an
+    epoch that scores no batch raises ConfigError, since it took no step.
     """
     order = np.arange(len(pixels))
     for epoch in range(1, config.epochs + 1):
@@ -160,19 +162,19 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
             n_hits += hits
             n_terms += terms
             weights = _sgd_step(weights, net.backward(weights, cache, head_grads), 1 / terms, config)
-        hit_rate = n_hits / n_terms if n_terms else 1.0
-        history.append((stage, epoch, loss_sum / max(1, n_terms), hit_rate))
+        if not n_terms:
+            raise ConfigError(f"{stage}: epoch {epoch} scored no minibatch, so took no SGD step")
+        history.append((stage, epoch, loss_sum / n_terms, n_hits / n_terms))
     return weights
 
 
 def _train_stage(stage, net, config, rng, history):
     weights = net.init_weights(rng)
-    data = make_det_batch(rng, net.input_shape[1], config.n_train, with_landmarks=(stage == "onet"))
-    pixels = np.stack([normalize_pixels(sample.image) for sample in data])
-    labels = np.array([sample.label for sample in data])
+    images, labels, boxes, lmks = make_det_batch(rng, net.input_shape[1], config.n_train)
+    pixels = normalize_pixels(images)
 
     def batch_loss(heads, idx):
-        total, head_grads, _ = multitask_loss(heads, [data[i] for i in idx])
+        total, head_grads, _ = multitask_loss(heads, labels[idx], boxes[idx], lmks[idx])
         p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
         hits = int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
         return total, head_grads, len(idx), hits

@@ -14,15 +14,14 @@ import pytest
 
 from faceveil.embed import FaceChip
 from faceveil.image import normalize_pixels, to_frame
+from faceveil.models import CHIP_SIZE
 from faceveil.nn import WeightStore
 from faceveil.recognize import ADULT, CHILD, gallery_build
 from faceveil.synth import make_face_chip, make_portrait
 from faceveil.train import TrainerConfig, train_toy
 
-TOY_CHIP = 32  # matches models.CHIP_SIZE, the one chip size of training and the commands
 
-
-def chip_batch(seed, n, size=TOY_CHIP):
+def chip_batch(seed, n, size=CHIP_SIZE):
     """n labeled raw chips (CHW float 0..255), labels alternating."""
     rng = np.random.default_rng(seed)
     labels = [CHILD if i % 2 == 0 else ADULT for i in range(n)]
@@ -55,7 +54,7 @@ def toy_weights(detector_training, embedder_training):
 @pytest.fixture(scope="session")
 def gallery20(embedder_training):
     raw, labels = chip_batch(seed=7, n=20)
-    chips = [FaceChip(normalize_pixels(c), (0.0, 0.0, TOY_CHIP, TOY_CHIP)) for c in raw]
+    chips = [FaceChip(normalize_pixels(c), (0.0, 0.0, CHIP_SIZE, CHIP_SIZE)) for c in raw]
     gallery, failures = gallery_build(
         chips, labels, embedder_training["result"].weights, note="test gallery"
     )

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import TOY_CHIP, chip_batch
+from conftest import chip_batch
 from oracles import auc_pairwise, conv2d_direct, maxpool_direct, nms_brute, select_triplets_brute
 from faceveil.denature import Blur, Pixelate, Scramble, denature_regions, descramble_regions
 from faceveil.detect import DetectorConfig, detect_faces, nms
@@ -20,7 +20,7 @@ from faceveil.embed import FaceChip, align_crop, embed_chip
 from faceveil.errors import InvariantError
 from faceveil.image import normalize_pixels, to_planar
 from faceveil.losses import select_triplets
-from faceveil.models import detector_nets, embedding_net
+from faceveil.models import CHIP_SIZE, detector_nets, embedding_net
 from faceveil.nn import load_weights, save_weights
 from faceveil.nn.ops import conv2d, maxpool2d
 from faceveil.pipeline import EvalSummary, Pipeline, PipelineConfig, check_timing, report_line
@@ -149,7 +149,7 @@ def test_07_toy_embedder_training(embedder_training):
         assert embedder_training["seconds"] < 120.0
         raw, labels = chip_batch(seed=1234, n=80)
         emb = np.stack([
-            embed_chip(FaceChip(normalize_pixels(c), (0, 0, TOY_CHIP, TOY_CHIP)),
+            embed_chip(FaceChip(normalize_pixels(c), (0, 0, CHIP_SIZE, CHIP_SIZE)),
                        embedder_training["result"].weights)
             for c in raw
         ]).astype(np.float64)
@@ -176,7 +176,7 @@ def test_08_synthetic_end_to_end(toy_weights, gallery20, probe_portraits):
             dets = detect_faces(img, toy_weights, cfg)
             if not dets:
                 continue  # an undetected probe counts as an error
-            chip = align_crop(img, dets[0].box, TOY_CHIP)
+            chip = align_crop(img, dets[0].box, CHIP_SIZE)
             result = classify(embed_chip(chip, toy_weights), gallery20)
             correct += int(result.label == truth)
             scores.append(result.margin)
@@ -234,7 +234,7 @@ def test_11_determinism_and_formats(toy_weights, gallery20, probe_portraits, tmp
 
         def report_stream():
             pipe = Pipeline(toy_weights, gallery20,
-                            PipelineConfig(chip_size=TOY_CHIP, emit_timing=False))
+                            PipelineConfig(chip_size=CHIP_SIZE, emit_timing=False))
             lines, blobs = [], []
             for i, frame in enumerate(frames):
                 out, report = pipe.process_frame(frame, i)
@@ -260,7 +260,7 @@ def test_11_determinism_and_formats(toy_weights, gallery20, probe_portraits, tmp
         assert g2.labels == gallery20.labels
         np.testing.assert_array_equal(g2.vectors, gallery20.vectors)
 
-        timed = Pipeline(toy_weights, gallery20, PipelineConfig(chip_size=TOY_CHIP))
+        timed = Pipeline(toy_weights, gallery20, PipelineConfig(chip_size=CHIP_SIZE))
         for i, frame in enumerate(frames):
             _, report = timed.process_frame(frame, i)
             t = report["timing_ms"]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from conftest import TOY_CHIP
 from faceveil.denature import RedactionPolicy, _clip_box
 from faceveil.detect import (
     DetectorConfig,
@@ -26,6 +25,7 @@ from faceveil.detect import (
     refinement_stage,
 )
 from faceveil.image import to_frame, to_planar
+from faceveil.models import CHIP_SIZE
 from faceveil.pipeline import Pipeline, PipelineConfig
 from faceveil.recognize import ADULT, CHILD
 from faceveil.synth import ADULT_BASE, CHILD_BASE, box_iou, draw_face, textured_background
@@ -105,7 +105,7 @@ def test_no_protected_face_leaks(toy_weights, gallery20):
     pipes = {
         layout: Pipeline(toy_weights, gallery20, PipelineConfig(
             detector=DetectorConfig(min_face_size=layout.min_face),
-            chip_size=TOY_CHIP,
+            chip_size=CHIP_SIZE,
             policy=RedactionPolicy(labels=frozenset({CHILD})),
             emit_timing=False,
         ))

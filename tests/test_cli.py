@@ -337,8 +337,7 @@ class TestRun:
         ("--threshold", "nan"), ("--threshold", "inf"),
         ("--box-expansion", "nan"), ("--box-expansion", "inf"),
         ("--thresholds", "0.6,0.7"), ("--thresholds", "nan,0.7,0.7"), ("--thresholds", "abc"),
-        ("--min-face", "5"), ("--chip-size", "20"), ("--chip-size", "x"),
-        ("--protect", "kids"), ("--method", "3"),
+        ("--min-face", "5"), ("--protect", "kids"), ("--method", "3"),
     ])
     def test_bad_setting_exits_1(self, art, capsys, tmp_path, flag, value):
         out_dir = tmp_path / "o"
@@ -707,6 +706,17 @@ class TestTrainToy:
                                "--epochs", "1", flag, value)
         assert code == 1
         assert err.startswith(f"faceveil: {named} must be")
+        assert not out.exists()
+
+    def test_run_that_scores_no_minibatch_exits_1_without_weight_file(self, capsys, tmp_path):
+        # one chip holds no triplet, so the only epoch takes no SGD step
+        out = tmp_path / "one.mprw"
+        code, stdout, err = run_cli(capsys, "train-toy", "--task", "embedder",
+                                    "--samples", "1", "--epochs", "1", "--out", str(out))
+        assert code == 1
+        assert err.startswith("faceveil: embed: epoch 1 ") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert stdout == ""
         assert not out.exists()
 
 

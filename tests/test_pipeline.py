@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TOY_CHIP
 from faceveil.denature import Pixelate, RedactionPolicy, Scramble, descramble_regions
 from faceveil.detect import DetectorConfig
 from faceveil.errors import ConfigError, DataError, InvariantError
 from faceveil.image import to_frame
 from faceveil.imgio import iter_frames, load_ppm, ppm_bytes, save_frames, save_ppm
+from faceveil.models import CHIP_SIZE
 from faceveil.pipeline import (
     EvalSummary,
     Pipeline,
@@ -31,7 +31,7 @@ from faceveil.synth import make_portrait
 
 
 def pipe_config(**kw):
-    kw.setdefault("chip_size", TOY_CHIP)
+    kw.setdefault("chip_size", CHIP_SIZE)
     kw.setdefault("detector", DetectorConfig())
     return PipelineConfig(**kw)
 

@@ -6,8 +6,7 @@ import pytest
 
 from faceveil import train
 from faceveil.errors import ConfigError, TrainingDiverged
-from faceveil.models import CHIP_SIZE, embedding_net
-from faceveil.synth import DetSample
+from faceveil.synth import make_det_batch, make_det_sample
 from faceveil.train import (
     BOX_WEIGHT,
     TrainerConfig,
@@ -42,6 +41,33 @@ class TestTrainerConfig:
             TrainerConfig(**kwargs)
 
 
+class TestMakeDetBatch:
+    def test_arrays(self):
+        images, labels, boxes, lmks = make_det_batch(np.random.default_rng(3), 12, 40)
+        assert images.shape == (40, 3, 12, 12) and images.dtype == np.float32
+        assert labels.shape == (40,)
+        assert boxes.shape == (40, 4) and boxes.dtype == np.float32
+        assert lmks.shape == (40, 10) and lmks.dtype == np.float32
+        # patch i is a face when i % 100 < 50, so 40 patches are all faces
+        assert np.count_nonzero(labels == 1) == 40
+
+    def test_background_rows_have_zero_targets(self):
+        _, labels, boxes, lmks = make_det_batch(np.random.default_rng(4), 12, 130)
+        background = labels == 0
+        assert np.count_nonzero(~background) == sum(i % 100 < 50 for i in range(130))
+        assert not boxes[background].any() and not lmks[background].any()
+        assert np.abs(lmks[~background]).sum(axis=1).min() > 0
+
+    def test_rows_are_the_samples_permuted(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        batch = make_det_batch(rng, 12, 7)
+        samples = [make_det_sample(twin, 12, i % 100 < 50) for i in range(7)]
+        order = twin.permutation(7)
+        for column, got in zip(zip(*samples), batch):
+            np.testing.assert_array_equal(got, np.stack(column)[order])
+        assert rng.random() == twin.random()  # the generators stay in step
+
+
 class TestMultitaskLoss:
     def _heads(self, p_face, box, lmk=None):
         prob = np.array([1.0 - p_face, p_face]).reshape(1, 2, 1, 1)
@@ -51,55 +77,52 @@ class TestMultitaskLoss:
         return heads
 
     def test_background_is_classification_only(self):
-        sample = DetSample(np.zeros((3, 12, 12), np.float32), 0, np.zeros(4), None)
-        total, grads, parts = multitask_loss(self._heads(0.5, [9, 9, 9, 9]), [sample])
+        heads = self._heads(0.5, [9, 9, 9, 9], lmk=np.full(10, 9.0))
+        total, grads, parts = multitask_loss(heads, [0], np.zeros((1, 4)), np.zeros((1, 10)))
         assert set(parts) == {"det"}
         assert total == pytest.approx(np.log(2.0))
         assert set(grads) == {"prob"}
 
     def test_face_adds_weighted_box_term(self):
-        sample = DetSample(np.zeros((3, 12, 12), np.float32), 1, np.zeros(4), None)
-        total, grads, parts = multitask_loss(self._heads(0.5, [0.1, 0, 0, 0]), [sample])
+        heads = self._heads(0.5, [0.1, 0, 0, 0])
+        total, grads, parts = multitask_loss(heads, [1], np.zeros((1, 4)), np.zeros((1, 10)))
         assert parts["det"] == pytest.approx(np.log(2.0))
         assert parts["box"] == pytest.approx(0.01)
         assert total == pytest.approx(np.log(2.0) + BOX_WEIGHT * 0.01)
         assert "box" in grads
 
     def test_landmark_term_only_when_supervised(self):
-        lmk_target = np.full(10, 0.5)
-        sample = DetSample(np.zeros((3, 48, 48), np.float32), 1, np.zeros(4), lmk_target)
+        lmk_targets = np.full((1, 10), 0.5)
         heads = self._heads(0.5, np.zeros(4), lmk=np.full(10, 0.6))
-        total, grads, parts = multitask_loss(heads, [sample])
+        total, grads, parts = multitask_loss(heads, [1], np.zeros((1, 4)), lmk_targets)
         assert parts["lmk"] == pytest.approx(10 * 0.01)
         assert "landmarks" in grads
-        # same heads, no landmark target: term disappears
-        bare = DetSample(np.zeros((3, 48, 48), np.float32), 1, np.zeros(4), None)
-        _, _, parts2 = multitask_loss(heads, [bare])
-        assert "lmk" not in parts2
+        # same face, a net without a landmarks head: the term disappears
+        del heads["landmarks"]
+        _, grads2, parts2 = multitask_loss(heads, [1], np.zeros((1, 4)), lmk_targets)
+        assert "lmk" not in parts2 and "landmarks" not in grads2
 
     def test_mixed_batch_sums_per_sample_losses(self):
-        # face with landmarks, background, face without landmarks: the batch's
-        # total, parts and head gradients are the per-sample ones stacked
+        # face, background, face: the batch's total, parts and head
+        # gradients are the per-sample ones stacked
         rng = np.random.default_rng(20)
-        img = np.zeros((3, 48, 48), np.float32)
-        batch = [
-            DetSample(img, 1, rng.normal(size=4), rng.uniform(size=10)),
-            DetSample(img, 0, np.zeros(4), None),
-            DetSample(img, 1, rng.normal(size=4), None),
-        ]
+        labels = np.array([1, 0, 1])
+        boxes = rng.normal(size=(3, 4)) * labels[:, None]
+        lmks = rng.uniform(size=(3, 10)) * labels[:, None]
         p_face = rng.uniform(0.1, 0.9, size=3)
         heads = {
             "prob": np.stack([1.0 - p_face, p_face], axis=1),
             "box": rng.normal(size=(3, 4)),
             "landmarks": rng.uniform(size=(3, 10)),
         }
-        total, grads, parts = multitask_loss(heads, batch)
-        one = [multitask_loss({h: y[i : i + 1] for h, y in heads.items()}, [s])
-               for i, s in enumerate(batch)]
+        total, grads, parts = multitask_loss(heads, labels, boxes, lmks)
+        one = [multitask_loss({h: y[i : i + 1] for h, y in heads.items()},
+                              labels[i : i + 1], boxes[i : i + 1], lmks[i : i + 1])
+               for i in range(3)]
         assert total == pytest.approx(sum(t for t, _, _ in one), rel=1e-12)
-        assert parts["det"] == pytest.approx(sum(p["det"] for _, _, p in one), rel=1e-12)
-        assert parts["box"] == pytest.approx(one[0][2]["box"] + one[2][2]["box"], rel=1e-12)
-        assert parts["lmk"] == pytest.approx(one[0][2]["lmk"], rel=1e-12)
+        for part in ("det", "box", "lmk"):
+            want = sum(p.get(part, 0.0) for _, _, p in one)
+            assert parts[part] == pytest.approx(want, rel=1e-12)
         assert set(grads) == {"prob", "box", "landmarks"}
         for head, g in grads.items():
             assert g.shape == heads[head].shape
@@ -166,16 +189,15 @@ class TestTrainToy:
         with pytest.raises(TrainingDiverged, match="embedder: trained tensor"):
             train_toy(cfg)
 
-    def test_embedder_without_triplets_keeps_initial_weights(self, monkeypatch):
-        # batches of one hold no triplet, so every batch is skipped
+    def test_embedder_without_triplets_fails_closed(self, monkeypatch, tmp_path):
+        # batches of one hold no triplet, so every batch is skipped and the
+        # epoch takes no SGD step: no untrained weight file may come out
         monkeypatch.setattr(train, "BATCH_SIZE", 1)
         cfg = TrainerConfig(task="embedder", n_train=6, epochs=1)
-        result = train_toy(cfg)
-        assert result.history == [("embed", 1, 0.0, 1.0)]
-        initial = embedding_net(CHIP_SIZE).init_weights(np.random.default_rng(cfg.seed))
-        assert set(result.weights) == set(initial)
-        for name, w in initial.items():
-            assert result.weights[name].tobytes() == w.tobytes()
+        out = tmp_path / "w.mprw"
+        with pytest.raises(ConfigError, match="^embed: epoch 1 scored no minibatch"):
+            train_toy(cfg, weights_path=out)
+        assert not out.exists()
 
     def test_clip_norm_prevents_blowup(self, monkeypatch):
         monkeypatch.setattr(train, "LEARNING_RATE", 1e4)
