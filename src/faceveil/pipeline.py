@@ -159,15 +159,13 @@ class EvalSummary:
         return 1.0 - self.miss_rate
 
     @property
-    def accuracy(self):
-        return (self.total - self.miss_count) / self.total if self.total else 0.0
-
-    @property
     def auc(self):
         return self.roc.auc if self.roc is not None else None
 
     @classmethod
     def from_tally(cls, miss_count, total):
+        if total == 0:
+            raise ConfigError("an empty probe set has no detection rate")
         if not 0 <= miss_count <= total:
             raise ConfigError(f"bad tally: {miss_count} misses of {total}")
         return cls(total=total, miss_count=miss_count)
@@ -178,7 +176,6 @@ class EvalSummary:
             "miss_count": self.miss_count,
             "miss_rate": self.miss_rate,
             "detection_rate": self.detection_rate,
-            "accuracy": self.accuracy,
             "auc": self.auc,
         }
 

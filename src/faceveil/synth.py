@@ -7,13 +7,18 @@ All generators take an explicit numpy Generator, so identical seeds give
 identical data.  Images are (3, H, W) float32 with 0..255 values.
 Cascade-stage patches come from ``make_det_batch`` as stacked arrays of
 images, labels, box targets and landmark targets, one row per patch.
+Whole multi-face frames come from ``make_scene`` for a camera ``Layout``
+(``STREET`` or ``CLOSEUP``), and ``scene_plan`` mixes the two the way
+the calibration scenes and the trainer's negative mining do.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .image import bilinear_resize, crop_resize
+from .image import bilinear_resize, crop_resize, to_frame
 from .models import CHIP_SIZE
 from .recognize import ADULT, CHILD
 
@@ -143,15 +148,71 @@ def make_det_sample(rng, size, positive):
     return patch.astype(np.float32), 1, offsets, lmk
 
 
-def make_det_batch(rng, size, n):
-    """n patches in shuffled order; patch i is a face when i % 100 < 50.
+def _is_face(i, n):
+    """Whether patch i of n is a face: it lies in the first half, rounded up,
+    of its block of 100, so a partial last block splits evenly too."""
+    start = i - i % 100
+    return i - start < (min(100, n - start) + 1) // 2
 
-    Returns the stacked make_det_sample columns: images (n, 3, s, s)
-    float32, labels (n,), box targets (n, 4) and landmark targets (n, 10).
+
+def make_det_batch(rng, size, n):
+    """n patches in shuffled order: ceil-half of each block of 100 are faces.
+
+    So n patches hold n // 2 background rows.  Returns the stacked
+    make_det_sample columns: images (n, 3, s, s) float32, labels (n,),
+    box targets (n, 4) and landmark targets (n, 10).
     """
-    samples = [make_det_sample(rng, size, i % 100 < 50) for i in range(n)]
+    samples = [make_det_sample(rng, size, _is_face(i, n)) for i in range(n)]
     order = rng.permutation(n)
     return tuple(np.stack(column)[order] for column in zip(*samples))
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A fixed camera: frame size, face half-height range and the detector's min face."""
+
+    height: int
+    width: int
+    radius: tuple  # (low, high) of the face half-height
+    min_face: int
+
+
+STREET = Layout(240, 320, (14.0, 52.8), 20)
+CLOSEUP = Layout(480, 640, (90.0, 110.0), 80)
+
+
+def scene_plan(i):
+    """(layout, face count) of scene i of a mixed sequence: every fourth
+    scene is a two-face close-up, the street scenes between them cycle
+    through 0-3 faces."""
+    if i % 4 == 3:
+        return CLOSEUP, 2
+    return STREET, (i - i // 4) % 4
+
+
+def make_scene(rng, layout, n_faces):
+    """(uint8 HWC frame, [(truth box, label, (cx, cy, rx, ry) of the drawn ellipse)]).
+
+    Faces alternate child/adult on a fresh background.  Each gets 60
+    tries at a spot whose box overlaps every placed one at IoU < 0.02,
+    and is left out if none fits.
+    """
+    img = textured_background(rng, layout.height, layout.width)
+    placed = []
+    for j in range(n_faces):
+        label = CHILD if j % 2 == 0 else ADULT
+        tint = _tint(rng, label)
+        for _ in range(60):
+            ry = rng.uniform(*layout.radius)
+            rx = ry * rng.uniform(0.72, 0.85)
+            cx = rng.uniform(ry + 2.0, layout.width - ry - 2.0)
+            cy = rng.uniform(ry + 2.0, layout.height - ry - 2.0)
+            box = (cx - ry, cy - ry, cx + ry, cy + ry)
+            if all(box_iou(box, b) < 0.02 for b, *_ in placed):
+                draw_face(img, cx, cy, rx, ry, tint, rng)
+                placed.append((box, label, (cx, cy, rx, ry)))
+                break
+    return to_frame(img), placed
 
 
 def make_face_chip(rng, label, size=CHIP_SIZE):

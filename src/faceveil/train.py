@@ -3,7 +3,11 @@
 Plain SGD over synthetic data, small enough to run inside the test
 suite.  Stage nets train on jittered face/background patches with the
 weighted multitask loss, fed row slices of ``make_det_batch``'s stacked
-images and targets; the embedder trains on labeled chips with
+images and targets.  P-Net trains first; R-Net and O-Net then train on
+its mistakes as well, as in MTCNN: ``mine_negatives`` runs the trained
+P-Net over synthetic scenes, and the proposals that miss every face
+replace half of each later stage's random background patches.  The
+embedder trains on labeled chips with
 semi-hard triplets; both run ``_fit``, the one epoch loop, with their
 own ``batch_loss``.  An epoch that takes no SGD step raises
 ``ConfigError``.  All parameters update in float32, losses and
@@ -17,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detect import DetectorConfig, _stage1
 from .errors import ConfigError, TrainingDiverged
-from .image import normalize_pixels
+from .image import box_in_image, crop_resize_batch, normalize_pixels, to_planar
 from .losses import (
     TRIPLET_MARGIN,
     box_loss,
@@ -31,7 +36,7 @@ from .losses import (
 )
 from .models import CHIP_SIZE, detector_nets, embedding_net
 from .nn import WeightStore, save_weights
-from .synth import make_det_batch, make_face_chip
+from .synth import box_iou, make_det_batch, make_face_chip, make_scene, scene_plan
 from .recognize import ADULT, CHILD
 
 TASKS = ("detector", "embedder")
@@ -40,6 +45,9 @@ DET_WEIGHT, BOX_WEIGHT, LMK_WEIGHT = 1.0, 0.5, 0.5
 CLIP_NORM = 5.0  # global gradient-norm cap per SGD step
 LEARNING_RATE = 0.03  # plain SGD step size
 BATCH_SIZE = 32  # samples per minibatch
+MINE_SCENES = 8  # scene budget of negative mining, so a weak P-Net cannot hang training
+MINE_PER_SCENE = 40  # most negatives kept from one scene
+NEG_IOU = 0.3  # a proposal below this IoU with every face is a negative (MTCNN's cut)
 
 
 @dataclass(frozen=True)
@@ -168,9 +176,55 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
     return weights
 
 
-def _train_stage(stage, net, config, rng, history):
+def scene_negatives(pnet_weights, rng, index):
+    """Scene ``index`` of ``scene_plan``, drawn from rng, and P-Net's false positives on it.
+
+    Returns (planar image, truth boxes, negative boxes).  The negatives
+    are the boxes that ``_stage1`` passes at the default cuts, that keep a
+    pixel of the frame and that overlap every face at IoU < NEG_IOU; at
+    most MINE_PER_SCENE of them, in ``rng.permutation`` order.
+    """
+    layout, n_faces = scene_plan(index)
+    frame, truth = make_scene(rng, layout, n_faces)
+    img = to_planar(frame)
+    boxes = _stage1(img, pnet_weights, DetectorConfig(min_face_size=layout.min_face))
+    boxes = boxes[box_in_image(boxes, layout.height, layout.width)]
+    faces = [box for box, *_ in truth]
+    miss = np.array([all(box_iou(b, f) < NEG_IOU for f in faces) for b in boxes.tolist()], bool)
+    negatives = boxes[miss]
+    return img, faces, negatives[rng.permutation(len(negatives))[:MINE_PER_SCENE]]
+
+
+def mine_negatives(pnet_weights, rng, n):
+    """Up to n crops of P-Net's false positives for each refinement stage.
+
+    Draws scenes with ``scene_negatives`` until n negatives are found or
+    MINE_SCENES scenes are spent, and cuts each negative at the R-Net and
+    O-Net input sizes.  Returns {stage: (k, 3, s, s) float32 0..255
+    crops} with the same k <= n boxes behind every stage.
+    """
+    sizes = {stage: detector_nets()[stage].input_shape[1] for stage in ("rnet", "onet")}
+    crops = {stage: [np.zeros((0, 3, s, s), np.float32)] for stage, s in sizes.items()}
+    found = 0
+    for index in range(MINE_SCENES):
+        if found >= n:
+            break
+        img, _, boxes = scene_negatives(pnet_weights, rng, index)
+        boxes = boxes[: n - found]
+        found += len(boxes)
+        for stage, s in sizes.items():
+            crops[stage].append(crop_resize_batch(img, boxes, s, s).transpose(1, 0, 2, 3))
+    return {stage: np.concatenate(parts) for stage, parts in crops.items()}
+
+
+def _train_stage(stage, net, config, rng, history, negatives=None):
+    """Train one stage on make_det_batch patches; mined negatives, if given,
+    take the place of its first background patches, one crop each."""
     weights = net.init_weights(rng)
     images, labels, boxes, lmks = make_det_batch(rng, net.input_shape[1], config.n_train)
+    if negatives is not None:
+        rows = np.flatnonzero(labels == 0)[: len(negatives)]
+        images[rows] = negatives[: len(rows)]
     pixels = normalize_pixels(images)
 
     def batch_loss(heads, idx):
@@ -185,9 +239,17 @@ def _train_stage(stage, net, config, rng, history):
 def _train_detector(config):
     rng = np.random.default_rng(config.seed)
     history: list = []
-    stage_weights = []
-    for stage, net in detector_nets().items():
-        stage_weights.append(_train_stage(stage, net, config, rng, history))
+    nets = detector_nets()
+    pnet = _train_stage("pnet", nets["pnet"], config, rng, history)
+    # scenes come from a generator of their own, so R-Net and O-Net draw the
+    # same initial weights and patches as they would without mining; of the
+    # n // 2 background rows of make_det_batch, mined crops take half
+    scene_rng = np.random.default_rng([config.seed, 1])
+    negatives = mine_negatives(pnet, scene_rng, config.n_train // 4)
+    stage_weights = [pnet] + [
+        _train_stage(stage, nets[stage], config, rng, history, negatives[stage])
+        for stage in ("rnet", "onet")
+    ]
     return TrainResult(WeightStore.merge(*stage_weights), history)
 
 

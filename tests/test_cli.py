@@ -526,7 +526,7 @@ class TestGalleryEvalFlow:
         assert code == 0
         summary = last_json(out)
         assert summary["total"] == 6
-        assert 0.0 <= summary["accuracy"] <= 1.0
+        assert 0.0 <= summary["detection_rate"] <= 1.0
         assert roc.read_text().splitlines()[-1].startswith("auc,")
 
     def test_eval_invalid_json(self, art, capsys, tmp_path):

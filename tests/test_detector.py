@@ -82,7 +82,7 @@ class TestDetectorConfig:
     def test_defaults_valid(self):
         cfg = DetectorConfig()
         assert cfg.min_face_size == 20
-        assert cfg.thresholds == (0.85, 0.9, 0.9)
+        assert cfg.thresholds == (0.85, 0.8, 0.9)
 
     @pytest.mark.parametrize(
         "kwargs",

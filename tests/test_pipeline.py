@@ -354,13 +354,10 @@ class TestEvalSummary:
         s = EvalSummary.from_tally(158, 2000)
         assert s.miss_rate == 0.079
         assert s.detection_rate == 0.921
-        assert s.accuracy == 0.921
 
     def test_empty_probe_set(self):
-        s = EvalSummary.from_tally(0, 0)
-        assert s.miss_rate == 0.0
-        assert s.accuracy == 0.0
-        assert s.auc is None
+        with pytest.raises(ConfigError, match="empty probe set"):
+            EvalSummary.from_tally(0, 0)
 
     def test_invalid_tally(self):
         with pytest.raises(ConfigError):
@@ -376,7 +373,6 @@ class TestEvalSummary:
             "miss_count": 1,
             "miss_rate": 0.25,
             "detection_rate": 0.75,
-            "accuracy": 0.75,
             "auc": None,
         }
 

@@ -1,12 +1,16 @@
 """Toy training: multitask loss wiring, SGD behavior, divergence
 detection, metrics files and the gradient-check battery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from faceveil import train
 from faceveil.errors import ConfigError, TrainingDiverged
-from faceveil.synth import make_det_batch, make_det_sample
+from faceveil.models import detector_nets
+from faceveil.nn import WeightStore
+from faceveil.synth import box_iou, make_det_batch, make_det_sample
 from faceveil.train import (
     BOX_WEIGHT,
     TrainerConfig,
@@ -48,24 +52,68 @@ class TestMakeDetBatch:
         assert labels.shape == (40,)
         assert boxes.shape == (40, 4) and boxes.dtype == np.float32
         assert lmks.shape == (40, 10) and lmks.dtype == np.float32
-        # patch i is a face when i % 100 < 50, so 40 patches are all faces
-        assert np.count_nonzero(labels == 1) == 40
+        # patch i is a face in the first half, rounded up, of its block of
+        # 100, so a batch of 40 splits evenly
+        assert np.count_nonzero(labels == 1) == 20
 
     def test_background_rows_have_zero_targets(self):
         _, labels, boxes, lmks = make_det_batch(np.random.default_rng(4), 12, 130)
         background = labels == 0
-        assert np.count_nonzero(~background) == sum(i % 100 < 50 for i in range(130))
+        assert np.count_nonzero(~background) == 50 + 15  # a full block, then half of 30
         assert not boxes[background].any() and not lmks[background].any()
         assert np.abs(lmks[~background]).sum(axis=1).min() > 0
 
     def test_rows_are_the_samples_permuted(self):
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         batch = make_det_batch(rng, 12, 7)
-        samples = [make_det_sample(twin, 12, i % 100 < 50) for i in range(7)]
+        samples = [make_det_sample(twin, 12, i < 4) for i in range(7)]
         order = twin.permutation(7)
         for column, got in zip(zip(*samples), batch):
             np.testing.assert_array_equal(got, np.stack(column)[order])
         assert rng.random() == twin.random()  # the generators stay in step
+
+
+class TestMineNegatives:
+    @pytest.fixture(scope="class")
+    def pnet(self, detector_training):
+        weights = detector_training["result"].weights
+        return WeightStore({k: weights[k] for k in weights if k.startswith("pnet.")})
+
+    def test_negatives_miss_every_face(self, pnet):
+        rng = np.random.default_rng(8)
+        found = 0
+        for index in range(8):  # street scenes with 0-3 faces and two close-ups
+            _, faces, boxes = train.scene_negatives(pnet, rng, index)
+            assert len(boxes) <= train.MINE_PER_SCENE
+            found += len(boxes)
+            for box in boxes.tolist():
+                assert all(box_iou(box, face) < train.NEG_IOU for face in faces)
+        assert found > 0
+
+    def test_crops_per_stage(self, pnet):
+        mined = train.mine_negatives(pnet, np.random.default_rng(9), 50)
+        again = train.mine_negatives(pnet, np.random.default_rng(9), 50)
+        assert set(mined) == {"rnet", "onet"}
+        for stage, crops in mined.items():
+            s = detector_nets()[stage].input_shape[1]
+            assert crops.shape == (50, 3, s, s) and crops.dtype == np.float32
+            assert crops.min() >= 0.0 and crops.max() <= 255.0
+            np.testing.assert_array_equal(crops, again[stage])
+
+    def test_silent_pnet_leaves_random_patches(self, pnet):
+        # a P-Net that proposes nothing spends the scene budget and mines
+        # nothing, so the next stage trains on its random patches alone
+        silent = WeightStore({k: np.zeros_like(v) for k, v in pnet.items()})
+        mined = train.mine_negatives(silent, np.random.default_rng(10), 8)
+        assert {stage: crops.shape[0] for stage, crops in mined.items()} == {"rnet": 0, "onet": 0}
+        cfg = TrainerConfig(task="detector", n_train=16, epochs=1)
+        net = detector_nets()["rnet"]
+        plain = train._train_stage("rnet", net, cfg, np.random.default_rng(11), [])
+        mined_none = train._train_stage(
+            "rnet", net, cfg, np.random.default_rng(11), [], mined["rnet"]
+        )
+        for name in plain:
+            np.testing.assert_array_equal(plain[name], mined_none[name])
 
 
 class TestMultitaskLoss:
@@ -200,11 +248,17 @@ class TestTrainToy:
         assert not out.exists()
 
     def test_clip_norm_prevents_blowup(self, monkeypatch):
-        monkeypatch.setattr(train, "LEARNING_RATE", 1e4)
+        # one epoch at lr 100 stays finite with the clip and blows up without it
+        monkeypatch.setattr(train, "LEARNING_RATE", 1e2)
         monkeypatch.setattr(train, "BATCH_SIZE", 8)
         cfg = TrainerConfig(task="detector", n_train=32, epochs=1)
         result = train_toy(cfg)  # survives one epoch of the schedule
         assert all(np.isfinite(row[2]) for row in result.history)
+        monkeypatch.setattr(train, "CLIP_NORM", np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(TrainingDiverged):
+                train_toy(cfg)
 
 
 class TestMetricsFile:
