@@ -31,6 +31,7 @@ NMS_PER_SCALE = 0.5  # IoU cut within one pyramid level
 NMS_STAGE1 = 0.7  # IoU cut across pyramid levels
 NMS_STAGE2 = 0.7  # IoU cut after stage 2
 NMS_STAGE3 = 0.7  # min-overlap cut after stage 3
+MAX_BOX_EDGE = 2.0**53  # px; past it float64 skips integers, so no box edge rounds to a pixel
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,8 @@ def refine_boxes(boxes, offsets):
     Offsets are in box-size units: x1' = x1 + dx1 * w, and so on.  Boxes
     whose width or height is not positive after the shift are dropped;
     returns (squared boxes of the survivors, boolean keep mask over the
-    input rows).
+    input rows).  An edge that is not finite or lies past MAX_BOX_EDGE
+    comes only from broken weights and raises InvariantError.
     """
     boxes = np.asarray(boxes, dtype=np.float64)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -200,6 +202,10 @@ def refine_boxes(boxes, offsets):
     cx = (shifted[:, 0] + shifted[:, 2]) / 2.0
     cy = (shifted[:, 1] + shifted[:, 3]) / 2.0
     out = np.stack([cx - side / 2.0, cy - side / 2.0, cx + side / 2.0, cy + side / 2.0], axis=1)
+    if not (np.abs(out) <= MAX_BOX_EDGE).all():
+        # fail closed, as _require_finite does: such a box can be neither
+        # cropped nor redacted
+        raise InvariantError(f"refined box edge past {MAX_BOX_EDGE:.3g} px; check the weights")
     return out, keep
 
 

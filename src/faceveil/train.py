@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detect import DetectorConfig, _stage1
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, InvariantError, TrainingDiverged
 from .image import box_in_image, crop_resize_batch, normalize_pixels, to_planar
 from .losses import (
     TRIPLET_MARGIN,
@@ -159,49 +159,55 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
         loss_sum, n_hits, n_terms = 0.0, 0, 0
         for start in range(0, len(order), BATCH_SIZE):
             idx = order[start : start + BATCH_SIZE]
-            heads, cache = net.forward_train(weights, pixels[idx])
-            scored = batch_loss(heads, idx)
-            if scored is None:
-                continue
-            loss, head_grads, terms, hits = scored
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"{stage}: loss became {loss} in epoch {epoch}")
+            # an activation past float32 shows as a non-finite loss or
+            # trained tensor, which raise TrainingDiverged below
+            with np.errstate(over="ignore", invalid="ignore"):
+                heads, cache = net.forward_train(weights, pixels[idx])
+                scored = batch_loss(heads, idx)
+                if scored is None:
+                    continue
+                loss, head_grads, terms, hits = scored
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"{stage}: loss became {loss} in epoch {epoch}")
+                grads = net.backward(weights, cache, head_grads)
             loss_sum += loss
             n_hits += hits
             n_terms += terms
-            weights = _sgd_step(weights, net.backward(weights, cache, head_grads), 1 / terms, config)
+            weights = _sgd_step(weights, grads, 1 / terms, config)
         if not n_terms:
             raise ConfigError(f"{stage}: epoch {epoch} scored no minibatch, so took no SGD step")
         history.append((stage, epoch, loss_sum / n_terms, n_hits / n_terms))
     return weights
 
 
-def scene_negatives(pnet_weights, rng, index):
-    """Scene ``index`` of ``scene_plan``, drawn from rng, and P-Net's false positives on it.
+def scene_negatives(pnet_weights, img, faces, min_face, rng):
+    """P-Net's false positives on the planar scene img with truth boxes faces.
 
-    Returns (planar image, truth boxes, negative boxes).  The negatives
-    are the boxes that ``_stage1`` passes at the default cuts, that keep a
-    pixel of the frame and that overlap every face at IoU < NEG_IOU; at
-    most MINE_PER_SCENE of them, in ``rng.permutation`` order.
+    The negatives are the boxes that ``_stage1`` passes at the default
+    cuts, that keep a pixel of the frame and that overlap every face at
+    IoU < NEG_IOU; returns at most MINE_PER_SCENE of them, in
+    ``rng.permutation`` order.  A P-Net whose scan is not finite, or
+    regresses a box past ``detect.MAX_BOX_EDGE``, raises TrainingDiverged.
     """
-    layout, n_faces = scene_plan(index)
-    frame, truth = make_scene(rng, layout, n_faces)
-    img = to_planar(frame)
-    boxes = _stage1(img, pnet_weights, DetectorConfig(min_face_size=layout.min_face))
-    boxes = boxes[box_in_image(boxes, layout.height, layout.width)]
-    faces = [box for box, *_ in truth]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes = _stage1(img, pnet_weights, DetectorConfig(min_face_size=min_face))
+    except InvariantError as err:
+        raise TrainingDiverged(f"pnet: {err}") from err
+    boxes = boxes[box_in_image(boxes, *img.shape[1:])]
     miss = np.array([all(box_iou(b, f) < NEG_IOU for f in faces) for b in boxes.tolist()], bool)
     negatives = boxes[miss]
-    return img, faces, negatives[rng.permutation(len(negatives))[:MINE_PER_SCENE]]
+    return negatives[rng.permutation(len(negatives))[:MINE_PER_SCENE]]
 
 
 def mine_negatives(pnet_weights, rng, n):
     """Up to n crops of P-Net's false positives for each refinement stage.
 
-    Draws scenes with ``scene_negatives`` until n negatives are found or
-    MINE_SCENES scenes are spent, and cuts each negative at the R-Net and
-    O-Net input sizes.  Returns {stage: (k, 3, s, s) float32 0..255
-    crops} with the same k <= n boxes behind every stage.
+    Draws scenes in ``scene_plan`` order from rng and takes their
+    ``scene_negatives`` until n are found or MINE_SCENES scenes are
+    spent, and cuts each negative at the R-Net and O-Net input sizes.
+    Returns {stage: (k, 3, s, s) float32 0..255 crops} with the same
+    k <= n boxes behind every stage.
     """
     sizes = {stage: detector_nets()[stage].input_shape[1] for stage in ("rnet", "onet")}
     crops = {stage: [np.zeros((0, 3, s, s), np.float32)] for stage, s in sizes.items()}
@@ -209,8 +215,11 @@ def mine_negatives(pnet_weights, rng, n):
     for index in range(MINE_SCENES):
         if found >= n:
             break
-        img, _, boxes = scene_negatives(pnet_weights, rng, index)
-        boxes = boxes[: n - found]
+        layout, n_faces = scene_plan(index)
+        frame, truth = make_scene(rng, layout, n_faces)
+        img = to_planar(frame)
+        faces = [box for box, *_ in truth]
+        boxes = scene_negatives(pnet_weights, img, faces, layout.min_face, rng)[: n - found]
         found += len(boxes)
         for stage, s in sizes.items():
             crops[stage].append(crop_resize_batch(img, boxes, s, s).transpose(1, 0, 2, 3))
@@ -223,8 +232,7 @@ def _train_stage(stage, net, config, rng, history, negatives=None):
     weights = net.init_weights(rng)
     images, labels, boxes, lmks = make_det_batch(rng, net.input_shape[1], config.n_train)
     if negatives is not None:
-        rows = np.flatnonzero(labels == 0)[: len(negatives)]
-        images[rows] = negatives[: len(rows)]
+        images[np.flatnonzero(labels == 0)[: len(negatives)]] = negatives
     pixels = normalize_pixels(images)
 
     def batch_loss(heads, idx):
@@ -286,7 +294,8 @@ def train_toy(config=None, weights_path=None, metrics_path=None):
 
     Returns a TrainResult; optionally writes the weight file and the
     per-epoch metrics CSV.  Raises TrainingDiverged, before writing
-    anything, when a loss or a trained weight is not finite.
+    anything, when a loss or a trained weight is not finite, or when the
+    trained P-Net regresses a box past ``detect.MAX_BOX_EDGE``.
     """
     config = config or TrainerConfig()
     if config.task == "detector":

@@ -44,7 +44,6 @@ def scenes(seeds):
 
 GATE_SEEDS = range(6001, 6017)
 CALIBRATION_SEEDS = range(5001, 5401)  # tier-1 re-checks the first 16
-HELD_OUT_SEEDS = range(7001, 7401)  # calibrate.py's check of the chosen cuts
 
 
 def covered(box, boxes):

@@ -229,6 +229,11 @@ class TestRefineBoxes:
         assert out.shape == (0, 4)
         assert (~keep).sum() == 0
 
+    def test_runaway_edge_fails_closed(self):
+        # 10 px * 1e15 puts the right edge past MAX_BOX_EDGE: broken weights
+        with pytest.raises(InvariantError, match="refined box edge past"):
+            refine_boxes([[0, 0, 10, 10]], [[0, 0, 1e15, 0]])
+
 
 class TestCropGeometry:
     def test_bilinear_identity(self):

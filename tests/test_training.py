@@ -1,16 +1,15 @@
 """Toy training: multitask loss wiring, SGD behavior, divergence
 detection, metrics files and the gradient-check battery."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from faceveil import train
 from faceveil.errors import ConfigError, TrainingDiverged
+from faceveil.image import to_planar
 from faceveil.models import detector_nets
 from faceveil.nn import WeightStore
-from faceveil.synth import box_iou, make_det_batch, make_det_sample
+from faceveil.synth import box_iou, make_det_batch, make_det_sample, make_scene, scene_plan
 from faceveil.train import (
     BOX_WEIGHT,
     TrainerConfig,
@@ -83,7 +82,10 @@ class TestMineNegatives:
         rng = np.random.default_rng(8)
         found = 0
         for index in range(8):  # street scenes with 0-3 faces and two close-ups
-            _, faces, boxes = train.scene_negatives(pnet, rng, index)
+            layout, n_faces = scene_plan(index)
+            frame, truth = make_scene(rng, layout, n_faces)
+            faces = [box for box, *_ in truth]
+            boxes = train.scene_negatives(pnet, to_planar(frame), faces, layout.min_face, rng)
             assert len(boxes) <= train.MINE_PER_SCENE
             found += len(boxes)
             for box in boxes.tolist():
@@ -221,7 +223,6 @@ class TestTrainToy:
         sats = [row[3] for row in embedder_training["result"].history]
         assert sats[-1] >= 0.9
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self, monkeypatch):
         monkeypatch.setattr(train, "LEARNING_RATE", 1e4)
         monkeypatch.setattr(train, "BATCH_SIZE", 8)
@@ -248,17 +249,37 @@ class TestTrainToy:
         assert not out.exists()
 
     def test_clip_norm_prevents_blowup(self, monkeypatch):
-        # one epoch at lr 100 stays finite with the clip and blows up without it
+        # lr 100: test_unclipped_run_diverges_without_warning is the same
+        # schedule without the clip
         monkeypatch.setattr(train, "LEARNING_RATE", 1e2)
         monkeypatch.setattr(train, "BATCH_SIZE", 8)
         cfg = TrainerConfig(task="detector", n_train=32, epochs=1)
         result = train_toy(cfg)  # survives one epoch of the schedule
         assert all(np.isfinite(row[2]) for row in result.history)
+
+    def test_unclipped_run_diverges_without_warning(self, monkeypatch):
+        monkeypatch.setattr(train, "LEARNING_RATE", 1e2)
+        monkeypatch.setattr(train, "BATCH_SIZE", 8)
         monkeypatch.setattr(train, "CLIP_NORM", np.inf)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(TrainingDiverged):
-                train_toy(cfg)
+        with pytest.raises(TrainingDiverged):
+            train_toy(TrainerConfig(task="detector", n_train=32, epochs=1))
+
+    def test_overflowing_forward_diverges_without_warning(self, monkeypatch):
+        # at lr 1e4 a clipped step still moves the weights by up to 5e4, and
+        # within one epoch a forward overflows float32: TrainingDiverged,
+        # with no numpy RuntimeWarning
+        monkeypatch.setattr(train, "LEARNING_RATE", 1e4)
+        monkeypatch.setattr(train, "BATCH_SIZE", 8)
+        with pytest.raises(TrainingDiverged, match="loss became inf"):
+            train_toy(TrainerConfig(task="detector", n_train=32, epochs=1))
+
+    def test_runaway_pnet_boxes_diverge_without_warning(self, monkeypatch):
+        # at lr 300 the P-Net stays finite but regresses boxes ~1e19 px
+        # out, past any pixel; mining its scenes must fail closed
+        monkeypatch.setattr(train, "LEARNING_RATE", 3e2)
+        monkeypatch.setattr(train, "BATCH_SIZE", 8)
+        with pytest.raises(TrainingDiverged, match="^pnet: refined box edge past"):
+            train_toy(TrainerConfig(task="detector", n_train=32, epochs=1))
 
 
 class TestMetricsFile:
