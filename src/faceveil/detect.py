@@ -31,6 +31,7 @@ NMS_PER_SCALE = 0.5  # IoU cut within one pyramid level
 NMS_STAGE1 = 0.7  # IoU cut across pyramid levels
 NMS_STAGE2 = 0.7  # IoU cut after stage 2
 NMS_STAGE3 = 0.7  # min-overlap cut after stage 3
+PAIR_BLOCK = 1 << 14  # candidate box pairs scored per vectorized pass of nms
 MAX_BOX_EDGE = 2.0**53  # px; past it float64 skips integers, so no box edge rounds to a pixel
 
 
@@ -147,34 +148,65 @@ def nms(boxes, scores, threshold, mode="union"):
     """Greedy non-maximum suppression; returns kept indices, best first.
 
     Ties in score keep the lower original index.  A candidate is dropped
-    when its overlap with an already-kept box exceeds the threshold;
-    "union" is IoU, "min" divides by the smaller box area.
+    when its overlap with an already-kept box exceeds the threshold, which
+    must lie in [0, 1]; "union" is IoU, "min" divides by the smaller box
+    area.  Boxes that do not overlap in x have overlap 0, which never
+    exceeds such a threshold, so only pairs that do are scored: sorted by
+    x1, each box meets the successors whose x1 lies before its x2, in
+    vectorized passes of at most PAIR_BLOCK pairs.  The greedy walk then
+    follows the score order over each kept box's list of neighbours past
+    the threshold.
     """
     if mode not in ("union", "min"):
         raise ConfigError(f"unknown overlap mode {mode!r}")
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"overlap threshold must lie in [0, 1], got {threshold}")
     boxes = np.asarray(boxes, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if boxes.shape[0] != scores.shape[0]:
         raise ConfigError(f"{boxes.shape[0]} boxes vs {scores.shape[0]} scores")
-    if boxes.shape[0] == 0:
+    n = boxes.shape[0]
+    if n == 0:
         return np.zeros(0, dtype=np.int64)
-    x1, y1, x2, y2 = boxes.T
+    by_x = np.argsort(boxes[:, 0], kind="stable")
+    x1, y1, x2, y2 = boxes[by_x].T  # in x1 order, so pair positions index them directly
     area = np.maximum(0.0, x2 - x1) * np.maximum(0.0, y2 - y1)
-    order = np.argsort(-scores, kind="stable")
-    keep = []
-    while order.size:
-        i = order[0]
-        keep.append(int(i))
-        rest = order[1:]
-        iw = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
-        ih = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+    # position p overlaps in x at most positions p + 1 .. p + count[p]
+    count = np.maximum(np.searchsorted(x1, x2, side="left") - np.arange(n) - 1, 0)
+    ends = np.cumsum(count)
+    firsts = ends - count
+    near_a, near_b = [], []  # pairs past the threshold
+    p0 = 0
+    while p0 < n and firsts[p0] < ends[-1]:
+        # the positions from p0 whose pairs fit one pass, and at least one
+        p1 = max(p0 + 1, int(np.searchsorted(ends, firsts[p0] + PAIR_BLOCK, side="right")))
+        a = np.repeat(np.arange(p0, p1), count[p0:p1])
+        b = a + 1 + np.arange(firsts[p0], ends[p1 - 1]) - firsts[a]
+        # pairs apart in y have overlap 0 too; score the rest
+        ih = np.minimum(y2[a], y2[b]) - np.maximum(y1[a], y1[b])
+        rows = ih > 0.0
+        a, b, ih = a[rows], b[rows], ih[rows]
+        iw = np.maximum(0.0, np.minimum(x2[a], x2[b]) - np.maximum(x1[a], x1[b]))
         inter = iw * ih
         if mode == "union":
-            denom = area[i] + area[rest] - inter
+            denom = area[a] + area[b] - inter
         else:
-            denom = np.minimum(area[i], area[rest])
+            denom = np.minimum(area[a], area[b])
         overlap = np.where(denom > 0.0, inter / np.where(denom > 0.0, denom, 1.0), 0.0)
-        order = rest[overlap <= threshold]
+        hit = overlap > threshold
+        near_a.append(by_x[a[hit]])
+        near_b.append(by_x[b[hit]])
+        p0 = p1
+    # each box's neighbours, grouped by box: dst[bounds[i]:bounds[i + 1]]
+    src = np.concatenate(near_a + near_b + [by_x[:0]])
+    dst = np.concatenate(near_b + near_a + [by_x[:0]])[np.argsort(src, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))]).tolist()
+    gone = np.zeros(n, dtype=bool)
+    keep = []
+    for i in np.argsort(-scores, kind="stable").tolist():
+        if not gone[i]:
+            keep.append(i)
+            gone[dst[bounds[i] : bounds[i + 1]]] = True
     return np.asarray(keep, dtype=np.int64)
 
 
@@ -219,9 +251,9 @@ def pnet_scan(level, weights, threshold):
     """
     scale, img = level
     net = detector_nets()["pnet"]
-    heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32))[None])
+    heads = net.forward(weights, normalize_pixels(np.asarray(img, dtype=np.float32))[..., None])
     _require_finite(net.name, heads)
-    return scan_proposals(heads["prob"][0], heads["box"][0], scale, threshold)
+    return scan_proposals(heads["prob"][..., 0], heads["box"][..., 0], scale, threshold)
 
 
 def _stage1(img, weights, cfg):
@@ -250,18 +282,19 @@ def _require_finite(net_name, heads):
 def _forward_blocks(net, weights, img, boxes):
     """Crop boxes to a fixed-size net's input and run it, ``net.batch_block`` at a time.
 
-    Each block is cut in one gather and run in one forward, which keeps
-    the crops, like the im2col buffers, bounded by the block size.
-    Returns each head with one row per box.
+    Each block is cut in one gather, straight into the nets' batch-last
+    layout, and run in one forward, which keeps the crops, like every
+    layer output, bounded by the block size.  Returns each head with one
+    row per box.
     """
     _, size_h, size_w = net.input_shape
     parts = []
     for start in range(0, boxes.shape[0], net.batch_block):
         crops = crop_resize_batch(img, boxes[start : start + net.batch_block], size_h, size_w)
-        heads = net.forward(weights, normalize_pixels(crops).transpose(1, 0, 2, 3))
+        heads = net.forward(weights, normalize_pixels(crops))
         _require_finite(net.name, heads)
         parts.append(heads)
-    return {head: np.concatenate([p[head] for p in parts]) for head in parts[0]}
+    return {head: np.concatenate([p[head] for p in parts], axis=1).T for head in parts[0]}
 
 
 def refinement_stage(stage, img, boxes, weights, threshold):

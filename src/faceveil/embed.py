@@ -57,7 +57,7 @@ def embed_chip(chip, weights):
         raise ConfigError(f"expected a FaceChip, got {type(chip).__name__}")
     pixels = np.asarray(chip.pixels, dtype=np.float32)
     net = embedding_net(pixels.shape[1])
-    emb = net.forward(weights, pixels[None])["embedding"][0].astype(np.float32)
+    emb = net.forward(weights, pixels[..., None])["embedding"][:, 0].astype(np.float32)
     norm = float(np.linalg.norm(emb.astype(np.float64)))
     if not abs(norm - 1.0) <= NORM_TOL:  # also catches a NaN norm
         raise InvariantError(f"embedding norm {norm} drifted from 1")

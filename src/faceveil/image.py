@@ -57,12 +57,12 @@ def _taps(n, out):
 def bilinear_resize(img, out_h, out_w):
     """Resize a whole (C, H, W) image: ``crop_resize_batch`` of its full box."""
     _, h, w = _chw(img).shape
-    return crop_resize_batch(img, [(0, 0, w, h)], out_h, out_w)[:, 0]
+    return crop_resize_batch(img, [(0, 0, w, h)], out_h, out_w)[..., 0]
 
 
 def crop_resize(img, box, out_size):
     """Cut one box from a (C, H, W) image, resized square: ``crop_resize_batch`` of one box."""
-    return crop_resize_batch(img, [box], out_size, out_size)[:, 0]
+    return crop_resize_batch(img, [box], out_size, out_size)[..., 0]
 
 
 def _round_boxes(boxes):
@@ -77,7 +77,7 @@ def box_in_image(boxes, height, width):
 
 
 def crop_resize_batch(img, boxes, out_h, out_w):
-    """Bilinear samples of N boxes of a (C, H, W) image; returns (C, N, out_h, out_w).
+    """Bilinear samples of N boxes of a (C, H, W) image; returns (C, out_h, out_w, N).
 
     The package's one resampling rule.  Box edges are rounded half up
     (``_round_boxes``); a box that is empty or holds no pixel of the
@@ -87,7 +87,8 @@ def crop_resize_batch(img, boxes, out_h, out_w):
     the image reads zero, so boxes may cross any border.  Each bilinear
     corner is one gather straight from the image (a C-contiguous image
     is never copied), and the lerp v0 + t * (v1 - v0) keeps a constant
-    region bit-for-bit constant.  Float32 input gives float32 output.
+    region bit-for-bit constant.  Float32 input gives float32 output, in
+    the batch-last layout that ``faceveil.nn`` networks take.
     """
     img = _chw(img)
     out_h, out_w = int(out_h), int(out_w)
@@ -102,19 +103,20 @@ def crop_resize_batch(img, boxes, out_h, out_w):
     x1, y1, x2, y2 = _round_boxes(boxes).T
     dtype = np.result_type(img.dtype, np.float32)
     pixels = img.reshape(c, h * w)
-    r0, r1, ty = _taps((y2 - y1)[:, None], out_h)
-    c0, c1, tx = _taps((x2 - x1)[:, None], out_w)
-    ty = ty.astype(dtype)[:, :, None]  # (N, out_h, 1): varies down the rows
-    tx = tx.astype(dtype)[:, None, :]  # (N, 1, out_w): varies along the columns
+    # taps are (out, N): the batch varies fastest, as in the output
+    r0, r1, ty = (t.T for t in _taps((y2 - y1)[:, None], out_h))
+    c0, c1, tx = (t.T for t in _taps((x2 - x1)[:, None], out_w))
+    ty = ty.astype(dtype)[:, None, :]  # (out_h, 1, N): varies down the rows
+    tx = tx.astype(dtype)[None, :, :]  # (1, out_w, N): varies along the columns
 
     def corner(rows, cols):
-        rows = rows + y1[:, None]
-        cols = cols + x1[:, None]
-        flat = np.clip(rows, 0, h - 1)[:, :, None] * w + np.clip(cols, 0, w - 1)[:, None, :]
+        rows = rows + y1
+        cols = cols + x1
+        flat = np.clip(rows, 0, h - 1)[:, None, :] * w + np.clip(cols, 0, w - 1)[None, :, :]
         v = pixels.take(flat, axis=1).astype(dtype, copy=False)
         off_rows, off_cols = (rows < 0) | (rows >= h), (cols < 0) | (cols >= w)
         if off_rows.any() or off_cols.any():
-            np.copyto(v, 0, where=off_rows[:, :, None] | off_cols[:, None, :])
+            np.copyto(v, 0, where=off_rows[:, None, :] | off_cols[None, :, :])
         return v
 
     # v00 + t * (v01 - v00) along the columns, then down the rows, in place

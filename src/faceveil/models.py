@@ -6,7 +6,7 @@ and a 48x48 output net that also predicts five landmark points.  Pooling
 uses ceil-mode output sizes, which is what makes the flattened sizes
 (576 and 1152) come out.
 
-Head outputs per sample (``Network.forward`` puts the batch axis first):
+Head outputs per sample (``Network.forward`` puts the batch axis last):
   prob       (2, ...) softmax over {not-face, face}; index 1 is the face score
   box        (4, ...) offsets (dx1, dy1, dx2, dy2) in box-size units
   landmarks  (10,)    five (x, y) pairs, interleaved, in unit box coordinates

@@ -27,10 +27,6 @@ class Layer:
     def out_shape(self, in_shape):
         raise NotImplementedError
 
-    def im2col_size(self, in_shape):
-        """Elements of the im2col buffer one sample needs in a batched forward."""
-        return 0
-
     def forward(self, x, params):
         raise NotImplementedError
 
@@ -75,14 +71,10 @@ class Conv2D(Layer):
             raise ConfigError(f"{self.name}: kernel {self.kernel} does not fit input {in_shape}")
         return (self.out_channels, h, w)
 
-    def im2col_size(self, in_shape):
-        _, h, w = self.out_shape(in_shape)
-        return self.in_channels * self.kernel * self.kernel * h * w
-
-    def forward(self, x, params):
-        return ops.conv2d(
-            x, params[self.wname], params[self.bname], self.stride, self.padding, layer=self.name
-        )
+    def forward(self, x, params, bias=True):
+        """Without bias, the caller adds params[self.bname] per channel itself."""
+        b = params[self.bname] if bias else None
+        return ops.conv2d(x, params[self.wname], b, self.stride, self.padding, layer=self.name)
 
     def backward(self, ctx, dy, params):
         dx, dw, db = ops.conv2d_backward(ctx, params[self.wname], dy, self.stride, self.padding)

@@ -4,22 +4,25 @@ Forward is a pure function of (weights, input). Backward recomputes the
 forward with a private activation cache, so concurrent callers never share
 state.
 
-Every method takes an (N, C, H, W) batch; a single image is a batch of
-one. The layers run in the kernels' batch layout, (C, N, H, W) maps and
-(F, N) vectors, and each head comes back with the batch axis first;
-``backward`` takes head gradients in that shape and returns parameter
-gradients summed over the batch. A network with no FullyConnected layer
-is fully convolutional and accepts any spatial size at or above the
-declared input shape; all other networks require an exact match.
-``batch_block`` is the batch size whose largest im2col buffer fits
-IM2COL_BYTES, so each convolution of a block is one GEMM; callers split
-longer batches into blocks of that size.
+Every method works in the kernels' one batch layout, batch last: it
+takes a (C, H, W, N) batch, and a single image is a batch of one. Maps
+travel as (C, H, W, N) and feature vectors as (F, N), and each head
+comes back in that layout, with the batch axis last; ``backward`` takes
+head gradients in that shape and returns parameter gradients summed
+over the batch. A network with no FullyConnected layer is fully
+convolutional and accepts any spatial size at or above the declared
+input shape; all other networks require an exact match.
+``batch_block`` is the batch size whose widest layer output fits
+IM2COL_BYTES; callers split longer batches into blocks of that size, and
+each convolution cuts its own im2col into row strips within the budget.
 
 ``forward`` is inference and may reorder work where the values stay
 the same. A PReLU whose slopes are all > 0 is increasing, so it
-commutes with the max pool after it: ``forward`` pools first and runs
-the PReLU in place on the pooled map, which is a quarter of the size.
-The slopes are read on every call, and any slope <= 0 keeps the
+commutes with the max pool after it, and so does adding a per-channel
+constant, since rounding is monotone: for conv -> PReLU -> pool,
+``forward`` runs the conv without its bias, pools, adds the bias and
+runs the PReLU in place on the pooled map, which is a quarter of the
+size. The slopes are read on every call, and any slope <= 0 keeps the
 declared order. A PReLU after any other layer also runs in place on
 that layer's output. ``forward_train`` runs every layer in its
 declared order and out of place, because backward needs each layer's
@@ -28,10 +31,12 @@ input.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigError
-from .layers import FullyConnected, MaxPool2D, PReLU
+from .layers import Conv2D, FullyConnected, MaxPool2D, PReLU
 from .ops import IM2COL_BYTES
 
 
@@ -59,16 +64,17 @@ class Network:
             yield from layers
 
     def _batch_block(self):
-        """Samples per batched forward: the widest conv's im2col fits IM2COL_BYTES."""
-        shape, widest = self.input_shape, 1
+        """Samples per batched forward: the widest layer output fits IM2COL_BYTES."""
+        shape = self.input_shape
+        widest = math.prod(shape)
         for layer in self.trunk:
-            widest = max(widest, layer.im2col_size(shape))
             shape = layer.out_shape(shape)
+            widest = max(widest, math.prod(shape))
         for layers in self.heads.values():
             hshape = shape
             for layer in layers:
-                widest = max(widest, layer.im2col_size(hshape))
                 hshape = layer.out_shape(hshape)
+                widest = max(widest, math.prod(hshape))
         return max(1, IM2COL_BYTES // (widest * np.dtype(np.float32).itemsize))
 
     def param_shapes(self):
@@ -97,35 +103,33 @@ class Network:
     def _check_input(self, x):
         c, h, w = self.input_shape
         if self.fully_convolutional:
-            ok = x.ndim == 4 and x.shape[1] == c and x.shape[2] >= h and x.shape[3] >= w
-            want = f"an (N,{c},H,W) batch with H >= {h}, W >= {w}"
+            ok = x.ndim == 4 and x.shape[0] == c and x.shape[1] >= h and x.shape[2] >= w
+            want = f"a ({c},H,W,N) batch with H >= {h}, W >= {w}"
         else:
-            ok = x.ndim == 4 and x.shape[1:] == (c, h, w)
-            want = f"an (N,{c},{h},{w}) batch"
+            ok = x.ndim == 4 and x.shape[:3] == (c, h, w)
+            want = f"a ({c},{h},{w},N) batch"
         if not ok:
             raise ConfigError(f"{self.name}: expected {want}, got {x.shape}")
 
     def forward(self, weights, x):
-        """Run all heads on an (N,C,H,W) batch; returns {head name: (N, ...) array}."""
+        """Run all heads on a (C,H,W,N) batch; returns {head name: (..., N) array}."""
         self._check_input(x)
-        trunk_out = _infer(self.trunk, x.transpose(1, 0, 2, 3), weights)
-        return {head: np.moveaxis(_infer(layers, trunk_out, weights), 1, 0)
-                for head, layers in self.heads.items()}
+        trunk_out = _infer(self.trunk, x, weights)
+        return {head: _infer(layers, trunk_out, weights) for head, layers in self.heads.items()}
 
     def forward_train(self, weights, x):
         """Like forward, but also returns the activation cache for backward."""
         self._check_input(x)
-        x, trunk_ctx = _chain(self.trunk, x.transpose(1, 0, 2, 3), weights)
+        x, trunk_ctx = _chain(self.trunk, x, weights)
         out, head_ctx = {}, {}
         for head, layers in self.heads.items():
-            y, head_ctx[head] = _chain(layers, x, weights)
-            out[head] = np.moveaxis(y, 1, 0)
+            out[head], head_ctx[head] = _chain(layers, x, weights)
         return out, {"trunk": trunk_ctx, "trunk_out": x, "heads": head_ctx}
 
     def backward(self, weights, cache, head_grads):
         """Chain upstream head gradients back to every parameter.
 
-        head_grads hold one (N, ...) array per head, shaped like the
+        head_grads hold one (..., N) array per head, shaped like the
         forward's output; heads absent from head_grads contribute zero.
         Returns a dict of d(loss)/d(parameter) arrays, summed over the
         batch, covering every parameter of the network.
@@ -136,14 +140,13 @@ class Network:
         for head, dy in head_grads.items():
             if head not in self.heads:
                 raise ConfigError(f"{self.name}: unknown head {head!r}")
-            d = np.moveaxis(dy, 0, 1)
-            d_trunk = d_trunk + _chain_back(self.heads[head], cache["heads"][head], d, weights, grads)
+            d_trunk = d_trunk + _chain_back(self.heads[head], cache["heads"][head], dy, weights, grads)
         _chain_back(self.trunk, cache["trunk"], d_trunk, weights, grads)
         return {name: g.astype(np.result_type(d_trunk)) for name, g in grads.items()}
 
 
 def _infer(layers, x, weights):
-    """Inference through layers, pooling before PReLU where that gives the same values.
+    """Inference through layers, pooling before bias and PReLU where that gives the same values.
 
     Every layer returns a new array, so a PReLU may overwrite any input
     but x itself: the caller's batch or the trunk output the heads share.
@@ -151,15 +154,22 @@ def _infer(layers, x, weights):
     owned = False
     i = 0
     while i < len(layers):
-        layer = layers[i]
-        pool = layers[i + 1] if i + 1 < len(layers) else None
-        if (isinstance(layer, PReLU) and isinstance(pool, MaxPool2D)
-                and np.all(weights[layer.sname] > 0)):
-            # an increasing map commutes with max; a zero slope would not,
-            # since it sends -inf to NaN
-            x = layer.forward(pool.forward(x, weights), weights, inplace=True)
-            i += 2
+        conv = layers[i] if isinstance(layers[i], Conv2D) else None
+        j = i + (conv is not None)
+        act, pool = (layers[j : j + 2] + [None, None])[:2]
+        # an increasing map commutes with max; a zero slope would not,
+        # since it sends -inf to NaN
+        if (isinstance(act, PReLU) and isinstance(pool, MaxPool2D)
+                and np.all(weights[act.sname] > 0)):
+            if conv is None:
+                x = pool.forward(x, weights)
+            else:
+                x = pool.forward(conv.forward(x, weights, bias=False), weights)
+                x += weights[conv.bname].reshape(-1, 1, 1, 1)
+            x = act.forward(x, weights, inplace=True)
+            i = j + 2
         else:
+            layer = layers[i]
             x = (layer.forward(x, weights, inplace=owned) if isinstance(layer, PReLU)
                  else layer.forward(x, weights))
             i += 1

@@ -1,18 +1,23 @@
 """Dense float kernels for the fixed layer set.
 
-Every kernel works on a batch of N samples in one layout: conv maps are
-(C, N, H, W), channel first and row-major, and feature vectors are
-(F, N). A single sample is a batch of one. Kernels keep the dtype of
-their inputs: inference runs in float32, while finite-difference
-checking upcasts to float64 and exercises the same code path. There is
-no broadcasting; shapes must match exactly.
+Every kernel works on a batch of N samples in one layout, batch last:
+conv maps are (C, H, W, N), row-major, and feature vectors are (F, N).
+A single sample is a batch of one. Kernels keep the dtype of their
+inputs: inference runs in float32, while finite-difference checking
+upcasts to float64 and exercises the same code path. There is no
+broadcasting; shapes must match exactly.
 
-In this layout a convolution is an im2col GEMM, W (C_out, C_in*kh*kw) @
-cols (C_in*kh*kw, N*oh*ow), whose result is already (C_out, N, oh, ow),
-and PReLU (leading-channel slopes), softmax(axis=0) and max pooling (last
-two axes) need no reshaping. The backward kernels take the same layout
-and sum parameter gradients over the batch: the conv weight gradient is
-one dy @ colsᵀ GEMM over all N samples.
+With the batch innermost, an output row of a map holds ow*N contiguous
+floats, so every im2col tap, col2im add and pool row pass copies whole
+rows of all samples at once. A convolution is an im2col GEMM, W (C_out,
+C_in*kh*kw) @ cols (C_in*kh*kw, oh*ow*N), whose result is already
+(C_out, oh, ow, N); it runs in strips of output rows whose columns fit
+IM2COL_BYTES, for any batch. PReLU (leading-channel slopes), softmax
+(axis=0) and max pooling (axes 1 and 2) need no reshaping, and a fully
+connected layer flattens each sample in (C, H, W) order with a reshape.
+The backward kernels take the same layout and sum parameter gradients
+over the batch: the conv weight gradient is one dy @ colsᵀ GEMM over all
+N samples.
 
 Two kernels give up the sign of a zero for speed, and only that: PReLU
 computes max(x, 0) + slope * min(x, 0), which gives +0.0 where
@@ -27,7 +32,7 @@ import numpy as np
 from ..errors import ConfigError, DegenerateInputError
 
 IM2COL_BYTES = 2 << 20  # im2col buffer of one conv GEMM, about an L2 cache
-_LAYOUTS = {2: "(F,N) vectors", 4: "(C,N,H,W) maps"}
+_LAYOUTS = {2: "(F,N) vectors", 4: "(C,H,W,N) maps"}
 
 
 def _check_rank(x, ranks, layer):
@@ -37,56 +42,58 @@ def _check_rank(x, ranks, layer):
 
 
 def _im2col(x, kh, kw, stride, oh, ow):
-    """Columns (C*kh*kw, N*oh*ow) of a padded (C,N,H,W) input, one row per (c, i, j) tap."""
-    c, n = x.shape[:2]
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    """Columns (C*kh*kw, oh*ow*N) of a padded (C,H,W,N) input, one row per (c, i, j) tap."""
+    c, n = x.shape[0], x.shape[3]
+    cols = np.empty((c, kh, kw, oh, ow, n), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, n * oh * ow)
+            cols[:, i, j] = x[:, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, oh * ow * n)
 
 
 def _pad(x, padding):
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    return np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
 
 
 def conv2d(x, weight, bias, stride=1, padding=0, layer="conv2d"):
-    """Cross-correlate a (C_in,N,H,W) batch with weight (C_out,C_in,kh,kw), add bias.
+    """Cross-correlate a (C_in,H,W,N) batch with weight (C_out,C_in,kh,kw), add bias.
 
     Zero padding at the borders; each output axis has size
-    floor((n + 2*padding - k) / stride) + 1. A batch is one GEMM, so
-    callers bound it (Network.batch_block); a batch of one, such as a
-    pyramid level, is computed in strips of output rows whose im2col
-    columns fit IM2COL_BYTES.
+    floor((n + 2*padding - k) / stride) + 1. The GEMM runs in strips of
+    output rows whose im2col columns fit IM2COL_BYTES, each written in
+    place into the output, so the transient memory is one strip's
+    columns whatever the batch. A bias of None adds nothing, for a
+    caller that adds it later (Network.forward, after pooling).
     """
     _check_rank(x, (4,), layer)
-    if weight.ndim != 4 or bias.ndim != 1:
+    if weight.ndim != 4 or (bias is not None and bias.ndim != 1):
         raise ConfigError(f"{layer}: expected rank-4 weight and rank-1 bias, got "
-                          f"{weight.ndim}/{bias.ndim}")
+                          f"{weight.ndim}/{np.ndim(bias)}")
     cout, cin, kh, kw = weight.shape
     if x.shape[0] != cin:
         raise ConfigError(f"{layer}: input has {x.shape[0]} channels, weight expects {cin}")
-    if bias.shape[0] != cout:
+    if bias is not None and bias.shape[0] != cout:
         raise ConfigError(f"{layer}: bias has {bias.shape[0]} entries, expected {cout}")
     if stride < 1 or padding < 0:
         raise ConfigError(f"{layer}: stride must be >= 1 and padding >= 0")
     x = _pad(x, padding)
-    n, h, w = x.shape[1:]
+    h, w, n = x.shape[1:]
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ConfigError(f"{layer}: kernel {kh}x{kw} does not fit padded input {h}x{w}")
     wmat = weight.reshape(cout, -1)
-    # each strip is written in place and frees its columns before the next is cut
-    strip = oh if n > 1 else max(1, IM2COL_BYTES // (wmat.shape[1] * ow * x.itemsize))
-    out = np.empty((cout, n * oh * ow), dtype=np.result_type(x, weight))
+    row = ow * n  # output columns per output row
+    strip = max(1, IM2COL_BYTES // (wmat.shape[1] * row * x.itemsize))
+    out = np.empty((cout, oh * row), dtype=np.result_type(x, weight))
     for r0 in range(0, oh, strip):
         rows = min(strip, oh - r0)
-        band = x[:, :, r0 * stride : (r0 + rows - 1) * stride + kh]
+        band = x[:, r0 * stride : (r0 + rows - 1) * stride + kh]
         np.matmul(wmat, _im2col(band, kh, kw, stride, rows, ow),
-                  out=out[:, r0 * n * ow : (r0 + rows) * n * ow])
-    out += bias[:, None]
-    return out.reshape(cout, n, oh, ow)
+                  out=out[:, r0 * row : (r0 + rows) * row])
+    if bias is not None:
+        out += bias[:, None]
+    return out.reshape(cout, oh, ow, n)
 
 
 def conv2d_backward(x, weight, dy, stride=1, padding=0):
@@ -94,7 +101,7 @@ def conv2d_backward(x, weight, dy, stride=1, padding=0):
     _check_rank(x, (4,), "conv2d_backward")
     cout, cin, kh, kw = weight.shape
     xp = _pad(x, padding)
-    oh, ow = dy.shape[2:]
+    oh, ow = dy.shape[1:3]
     cols = _im2col(xp, kh, kw, stride, oh, ow)
     dy2 = dy.reshape(cout, -1)
     dw = (dy2 @ cols.T).reshape(weight.shape).astype(dy.dtype, copy=False)
@@ -103,9 +110,9 @@ def conv2d_backward(x, weight, dy, stride=1, padding=0):
     dxp = np.zeros(xp.shape, dtype=dy.dtype)
     for i in range(kh):
         for j in range(kw):
-            dxp[..., i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
-    h, w = x.shape[2:]
-    return dxp[..., padding : padding + h, padding : padding + w], dw, dy.sum(axis=(1, 2, 3))
+            dxp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, i, j]
+    h, w = x.shape[1:3]
+    return dxp[:, padding : padding + h, padding : padding + w], dw, dy.sum(axis=(1, 2, 3))
 
 
 def pool_output_size(n, kernel, stride):
@@ -133,7 +140,7 @@ def _pool_taps(n, kernel, stride):
 
 
 def maxpool2d(x, kernel, stride, layer="maxpool2d"):
-    """Max over kernel x kernel windows of a (C,N,H,W) batch's last two axes, ceil mode.
+    """Max over kernel x kernel windows of a (C,H,W,N) batch's axes 1 and 2, ceil mode.
 
     Max is exact and separable: one pass over each window's rows, then
     one over its columns, each starting from a copy of the first tap.
@@ -142,14 +149,14 @@ def maxpool2d(x, kernel, stride, layer="maxpool2d"):
     """
     _check_rank(x, (4,), layer)
     check_pool(kernel, stride, layer)
-    (_, oh), *rows = _pool_taps(x.shape[2], kernel, stride)
-    (_, ow), *cols = _pool_taps(x.shape[3], kernel, stride)
-    r = x[..., : stride * oh : stride, :].copy()
+    (_, oh), *rows = _pool_taps(x.shape[1], kernel, stride)
+    (_, ow), *cols = _pool_taps(x.shape[2], kernel, stride)
+    r = x[:, : stride * oh : stride].copy()
     for i, n in rows:
-        np.maximum(r[..., :n, :], x[..., i : i + stride * n : stride, :], out=r[..., :n, :])
-    out = r[..., : stride * ow : stride].copy()
+        np.maximum(r[:, :n], x[:, i : i + stride * n : stride], out=r[:, :n])
+    out = r[:, :, : stride * ow : stride].copy()
     for j, n in cols:
-        np.maximum(out[..., :n], r[..., j : j + stride * n : stride], out=out[..., :n])
+        np.maximum(out[:, :, :n], r[:, :, j : j + stride * n : stride], out=out[:, :, :n])
     return out
 
 
@@ -159,10 +166,10 @@ def maxpool2d_backward(x, dy, kernel, stride):
     out = maxpool2d(x, kernel, stride, "maxpool2d_backward")
     left = np.ones(dy.shape, dtype=bool)  # windows whose maximum is not routed yet
     dx = np.zeros(x.shape, dtype=dy.dtype)
-    for i, rows in _pool_taps(x.shape[2], kernel, stride):
-        for j, cols in _pool_taps(x.shape[3], kernel, stride):
-            win = (..., slice(rows), slice(cols))
-            tap = (..., slice(i, i + stride * rows, stride), slice(j, j + stride * cols, stride))
+    for i, rows in _pool_taps(x.shape[1], kernel, stride):
+        for j, cols in _pool_taps(x.shape[2], kernel, stride):
+            win = (slice(None), slice(rows), slice(cols))
+            tap = (slice(None), slice(i, i + stride * rows, stride), slice(j, j + stride * cols, stride))
             hit = x[tap] == out[win]
             hit &= left[win]
             left[win] ^= hit
@@ -239,14 +246,14 @@ def l2_normalize_backward(x, dy):
 
 
 def _flatten(x):
-    """(C,N,H,W) maps or (F,N) vectors -> (features, N), each sample in (C,H,W) order."""
-    return np.moveaxis(x, 1, -1).reshape(-1, x.shape[1])
+    """(C,H,W,N) maps or (F,N) vectors -> (features, N), each sample in (C,H,W) order."""
+    return x.reshape(-1, x.shape[-1])
 
 
 def fully_connected(x, weight, bias, layer="fc"):
     """weight @ flatten(x) + bias -> (out_features, N); weight is (out_features, in_features).
 
-    x is a batch of (C,N,H,W) maps or (F,N) vectors.
+    x is a batch of (C,H,W,N) maps or (F,N) vectors.
     """
     _check_rank(x, (2, 4), layer)
     xf = _flatten(x)
@@ -262,5 +269,4 @@ def fully_connected(x, weight, bias, layer="fc"):
 def fully_connected_backward(x, weight, dy):
     """Gradients of fully_connected wrt (input, weight, bias); weight and bias sum over N."""
     _check_rank(x, (2, 4), "fc_backward")
-    dx = (weight.T @ dy).reshape((x.shape[0],) + x.shape[2:] + (x.shape[1],))
-    return np.moveaxis(dx, -1, 1), dy @ _flatten(x).T, dy.sum(axis=1)
+    return (weight.T @ dy).reshape(x.shape), dy @ _flatten(x).T, dy.sum(axis=1)

@@ -46,6 +46,7 @@ CLIP_NORM = 5.0  # global gradient-norm cap per SGD step
 LEARNING_RATE = 0.03  # plain SGD step size
 BATCH_SIZE = 32  # samples per minibatch
 MINE_SCENES = 8  # scene budget of negative mining, so a weak P-Net cannot hang training
+PLAN_CYCLE = 4  # scenes in one cycle of scene_plan: three street scenes and a close-up
 MINE_PER_SCENE = 40  # most negatives kept from one scene
 NEG_IOU = 0.3  # a proposal below this IoU with every face is a negative (MTCNN's cut)
 
@@ -95,7 +96,7 @@ def write_metrics(history, path):
 def multitask_loss(heads, labels, box_targets, lmk_targets):
     """Weighted multitask loss of one cascade stage over a minibatch.
 
-    heads are the (N, ...) outputs of a forward over N patches; labels
+    heads are the (..., N) outputs of a forward over N patches; labels
     (N,), box_targets (N, 4) and lmk_targets (N, 10) are the matching
     rows of make_det_batch.  Returns (total, head_grads, parts), each the
     sum of the per-sample terms.  Background patches contribute only the
@@ -105,9 +106,9 @@ def multitask_loss(heads, labels, box_targets, lmk_targets):
     n = len(labels)
     labels = np.asarray(labels, dtype=np.float64)
     prob = np.asarray(heads["prob"], dtype=np.float64)
-    ce, dp = cross_entropy_loss(prob.reshape(n, 2, -1)[:, 1, 0], labels)
+    ce, dp = cross_entropy_loss(prob.reshape(2, -1, n)[1, 0], labels)
     g_prob = np.zeros_like(prob)
-    g_prob.reshape(n, 2, -1)[:, 1, 0] = DET_WEIGHT * n * dp
+    g_prob.reshape(2, -1, n)[1, 0] = DET_WEIGHT * n * dp
     total = DET_WEIGHT * n * ce
     parts = {"det": n * ce}
     head_grads = {"prob": g_prob}
@@ -119,13 +120,13 @@ def multitask_loss(heads, labels, box_targets, lmk_targets):
     ):
         if not k or head not in heads:
             continue
-        pred = np.asarray(heads[head], dtype=np.float64).reshape(n, -1)
+        pred = np.asarray(heads[head], dtype=np.float64).reshape(-1, n).T
         loss, grad = loss_fn(pred[face], targets[face])
         total += weight * k * loss
         parts[part] = k * loss
         g = np.zeros_like(pred)
         g[face] = weight * k * grad
-        head_grads[head] = g.reshape(np.shape(heads[head]))
+        head_grads[head] = g.T.reshape(np.shape(heads[head]))
     return total, head_grads, parts
 
 
@@ -145,7 +146,7 @@ def _sgd_step(weights, grads, scale, config):
 
 
 def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
-    """Minibatch SGD of net over pixels; returns the trained weights.
+    """Minibatch SGD of net over the (C,H,W,N) batch pixels; returns the trained weights.
 
     batch_loss(heads, idx) scores the minibatch of sample indices idx and
     returns (loss, head_grads, terms, hits), or None to skip the batch.
@@ -153,7 +154,7 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
     appends (stage, epoch, loss per term, hits per term) to history; an
     epoch that scores no batch raises ConfigError, since it took no step.
     """
-    order = np.arange(len(pixels))
+    order = np.arange(pixels.shape[-1])
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         loss_sum, n_hits, n_terms = 0.0, 0, 0
@@ -162,7 +163,7 @@ def _fit(stage, net, weights, pixels, batch_loss, config, rng, history):
             # an activation past float32 shows as a non-finite loss or
             # trained tensor, which raise TrainingDiverged below
             with np.errstate(over="ignore", invalid="ignore"):
-                heads, cache = net.forward_train(weights, pixels[idx])
+                heads, cache = net.forward_train(weights, pixels[..., idx])
                 scored = batch_loss(heads, idx)
                 if scored is None:
                     continue
@@ -204,17 +205,21 @@ def mine_negatives(pnet_weights, rng, n):
     """Up to n crops of P-Net's false positives for each refinement stage.
 
     Draws scenes in ``scene_plan`` order from rng and takes their
-    ``scene_negatives`` until n are found or MINE_SCENES scenes are
-    spent, and cuts each negative at the R-Net and O-Net input sizes.
-    Returns {stage: (k, 3, s, s) float32 0..255 crops} with the same
-    k <= n boxes behind every stage.
+    ``scene_negatives`` until n are found, MINE_SCENES scenes are spent or
+    a whole PLAN_CYCLE of scenes has yielded none, and cuts each negative
+    at the R-Net and O-Net input sizes.  Returns {stage: (3, s, s, k)
+    float32 0..255 crops} with the same k <= n boxes behind every stage.
     """
     sizes = {stage: detector_nets()[stage].input_shape[1] for stage in ("rnet", "onet")}
-    crops = {stage: [np.zeros((0, 3, s, s), np.float32)] for stage, s in sizes.items()}
-    found = 0
+    crops = {stage: [np.zeros((3, s, s, 0), np.float32)] for stage, s in sizes.items()}
+    found = cycle_start = 0
     for index in range(MINE_SCENES):
         if found >= n:
             break
+        if index % PLAN_CYCLE == 0:
+            if index and found == cycle_start:
+                break  # a whole cycle found nothing: a P-Net this weak would spend the budget
+            cycle_start = found
         layout, n_faces = scene_plan(index)
         frame, truth = make_scene(rng, layout, n_faces)
         img = to_planar(frame)
@@ -222,22 +227,23 @@ def mine_negatives(pnet_weights, rng, n):
         boxes = scene_negatives(pnet_weights, img, faces, layout.min_face, rng)[: n - found]
         found += len(boxes)
         for stage, s in sizes.items():
-            crops[stage].append(crop_resize_batch(img, boxes, s, s).transpose(1, 0, 2, 3))
-    return {stage: np.concatenate(parts) for stage, parts in crops.items()}
+            crops[stage].append(crop_resize_batch(img, boxes, s, s))
+    return {stage: np.concatenate(parts, axis=-1) for stage, parts in crops.items()}
 
 
 def _train_stage(stage, net, config, rng, history, negatives=None):
-    """Train one stage on make_det_batch patches; mined negatives, if given,
-    take the place of its first background patches, one crop each."""
+    """Train one stage on make_det_batch patches; mined (3, s, s, k) negatives,
+    if given, take the place of its first k background patches."""
     weights = net.init_weights(rng)
     images, labels, boxes, lmks = make_det_batch(rng, net.input_shape[1], config.n_train)
+    images = np.ascontiguousarray(np.moveaxis(images, 0, -1))  # the nets' (C, H, W, N)
     if negatives is not None:
-        images[np.flatnonzero(labels == 0)[: len(negatives)]] = negatives
+        images[..., np.flatnonzero(labels == 0)[: negatives.shape[-1]]] = negatives
     pixels = normalize_pixels(images)
 
     def batch_loss(heads, idx):
         total, head_grads, _ = multitask_loss(heads, labels[idx], boxes[idx], lmks[idx])
-        p_face = np.asarray(heads["prob"]).reshape(len(idx), 2, -1)[:, 1, 0]
+        p_face = np.asarray(heads["prob"]).reshape(2, -1, len(idx))[1, 0]
         hits = int(np.count_nonzero((p_face > 0.5) == (labels[idx] == 1)))
         return total, head_grads, len(idx), hits
 
@@ -266,10 +272,10 @@ def _train_embedder(config):
     net = embedding_net(CHIP_SIZE)
     weights = net.init_weights(rng)
     labels = np.array([CHILD if i % 2 == 0 else ADULT for i in range(config.n_train)])
-    pixels = np.stack([normalize_pixels(make_face_chip(rng, lb)) for lb in labels])
+    pixels = np.stack([normalize_pixels(make_face_chip(rng, lb)) for lb in labels], axis=-1)
 
     def batch_loss(heads, idx):
-        embs = np.asarray(heads["embedding"], dtype=np.float64)
+        embs = np.asarray(heads["embedding"], dtype=np.float64).T
         triplets = select_triplets(embs, labels[idx])
         if not triplets:
             return None
@@ -282,7 +288,7 @@ def _train_embedder(config):
         np.add.at(emb_grads, ta, da)
         np.add.at(emb_grads, tp, dp)
         np.add.at(emb_grads, tn, dn)
-        return loss, {"embedding": emb_grads}, len(triplets), n_sat
+        return loss, {"embedding": emb_grads.T}, len(triplets), n_sat
 
     history: list = []
     weights = _fit("embed", net, weights, pixels, batch_loss, config, rng, history)
@@ -312,7 +318,7 @@ def train_toy(config=None, weights_path=None, metrics_path=None):
 def network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=4, step=1e-3, seed=0):
     """Compare analytic parameter gradients against central differences.
 
-    x is an (N,C,H,W) batch and loss_on_heads maps the (N, ...) head
+    x is a (C,H,W,N) batch and loss_on_heads maps the (..., N) head
     dict to (loss, head_grads).  Probes up to coords_per_tensor randomly
     chosen coordinates in every parameter tensor and returns the worst
     relative error.
@@ -362,11 +368,11 @@ def _kink_free_inputs(rng):
     """Per-layer-type seeded batches of 2 that keep a 1e-3 step differentiable."""
     from .nn import Conv2D, FullyConnected, L2Normalize, MaxPool2D, PReLU, Softmax
 
-    away = rng.uniform(0.2, 1.5, size=(4, 2, 5, 5)) * rng.choice([-1.0, 1.0], size=(4, 2, 5, 5))
-    distinct = rng.permutation(4 * 2 * 6 * 6).reshape(4, 2, 6, 6) * 0.05
+    away = rng.uniform(0.2, 1.5, size=(4, 5, 5, 2)) * rng.choice([-1.0, 1.0], size=(4, 5, 5, 2))
+    distinct = rng.permutation(4 * 6 * 6 * 2).reshape(4, 6, 6, 2) * 0.05
     return [
-        ("conv2d", Conv2D("c", 3, 4, 3, padding=1), rng.normal(size=(3, 2, 6, 6))),
-        ("fully_connected", FullyConnected("fc", 4 * 5 * 5, 7), rng.normal(size=(4, 2, 5, 5))),
+        ("conv2d", Conv2D("c", 3, 4, 3, padding=1), rng.normal(size=(3, 6, 6, 2))),
+        ("fully_connected", FullyConnected("fc", 4 * 5 * 5, 7), rng.normal(size=(4, 5, 5, 2))),
         ("prelu", PReLU("act", 4), away),
         ("maxpool", MaxPool2D(2, 2), distinct),
         ("softmax", Softmax(axis=0), rng.normal(size=(3, 2, 2, 2))),

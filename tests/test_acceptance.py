@@ -52,7 +52,7 @@ def test_01_kernel_oracles():
             x = rng.normal(size=(cin, h, w))
             wt = rng.normal(size=(cout, cin, k, k))
             b = rng.normal(size=cout)
-            got = conv2d(x[:, None], wt, b, stride=stride, padding=pad)[:, 0]
+            got = conv2d(x[..., None], wt, b, stride=stride, padding=pad)[..., 0]
             ref = conv2d_direct(x, wt, b, stride, pad)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-5
@@ -62,7 +62,7 @@ def test_01_kernel_oracles():
             stride = int(rng.integers(1, kernel + 1))  # stride > kernel would skip pixels
             h, w = int(rng.integers(kernel, 13)), int(rng.integers(kernel, 13))
             x = rng.normal(size=(c, h, w))
-            np.testing.assert_array_equal(maxpool2d(x[:, None], kernel, stride)[:, 0],
+            np.testing.assert_array_equal(maxpool2d(x[..., None], kernel, stride)[..., 0],
                                           maxpool_direct(x, kernel, stride))
         assert time.perf_counter() - start < 30.0
 
@@ -118,13 +118,13 @@ def test_05_pnet_dense_scan_consistency():
             x = np.random.default_rng(seed + 50).uniform(-1, 1, size=(3, 24, 24)).astype(
                 np.float32
             )
-            dense = {h: y[0] for h, y in net.forward(weights, x[None]).items()}
+            dense = {h: y[..., 0] for h, y in net.forward(weights, x[..., None]).items()}
             assert dense["prob"].shape == (2, 7, 7)
             assert dense["box"].shape == (4, 7, 7)
             for i in range(7):
                 for j in range(7):
                     window = x[:, 2 * i : 2 * i + 12, 2 * j : 2 * j + 12]
-                    one = {h: y[0] for h, y in net.forward(weights, window[None]).items()}
+                    one = {h: y[..., 0] for h, y in net.forward(weights, window[..., None]).items()}
                     assert np.max(np.abs(one["prob"][:, 0, 0] - dense["prob"][:, i, j])) <= 1e-5
                     assert np.max(np.abs(one["box"][:, 0, 0] - dense["box"][:, i, j])) <= 1e-5
 

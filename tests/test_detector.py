@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from faceveil.detect import (
+    PAIR_BLOCK,
     Detection,
     DetectorConfig,
     FaceBox,
@@ -171,6 +172,27 @@ class TestNms:
         with pytest.raises(ConfigError):
             nms([[0, 0, 1, 1]], [0.5, 0.6], 0.5)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.01, float("nan")])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        # only boxes that overlap in x are scored, which is exact only if a
+        # zero overlap never suppresses; a negative cut would drop disjoint boxes
+        boxes = [[0, 0, 10, 10], [20, 20, 30, 30]]
+        for mode in ("union", "min"):
+            with pytest.raises(ConfigError):
+                nms(boxes, [0.9, 0.8], threshold, mode=mode)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_threshold_ends_are_exact(self, threshold):
+        # at 0 any positive overlap suppresses and touching edges do not; at
+        # 1 only a duplicate box could, and overlap 1.0 does not exceed it
+        boxes = [[0, 0, 10, 10], [10, 0, 20, 10], [5, 5, 15, 15], [0, 0, 10, 10]]
+        scores = [0.9, 0.8, 0.7, 0.6]
+        for mode in ("union", "min"):
+            want = oracles.nms_brute(boxes, scores, threshold, mode)
+            assert list(nms(boxes, scores, threshold, mode=mode)) == want
+        assert list(nms(boxes, scores, 0.0)) == [0, 1]
+        assert list(nms(boxes, scores, 1.0)) == [0, 1, 2, 3]
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         for _ in range(150):
@@ -184,6 +206,22 @@ class TestNms:
             got = list(nms(boxes, scores, thr, mode=mode))
             want = oracles.nms_brute(boxes.tolist(), scores.tolist(), thr, mode)
             assert got == want
+
+    @pytest.mark.parametrize("mode", ["union", "min"])
+    def test_level_zero_grid_matches_brute_force(self, mode):
+        # P-Net scale: a dense 24x18 grid of equal 12 px boxes at stride 2, as
+        # one pyramid level proposes them, with coarse tied scores, shared x1
+        # values and touching edges; its x-overlapping pairs fill several passes
+        side, cols, rows = 12.0, 24, 18
+        jj, ii = np.meshgrid(np.arange(cols), np.arange(rows))
+        x1, y1 = 2.0 * jj.ravel(), 2.0 * ii.ravel()
+        boxes = np.stack([x1, y1, x1 + side, y1 + side], axis=1)
+        scores = np.random.default_rng(14).integers(0, 6, size=len(boxes)) / 6.0
+        pairs = (np.count_nonzero(np.abs(x1[:, None] - x1) < side) - len(x1)) // 2
+        assert len(boxes) == 432 and pairs > 2 * PAIR_BLOCK
+        for thr in (0.0, 0.3, 0.5, 0.7):
+            got = list(nms(boxes, scores, thr, mode=mode))
+            assert got == oracles.nms_brute(boxes.tolist(), scores.tolist(), thr, mode), thr
 
     def test_kept_set_properties(self):
         rng = np.random.default_rng(13)
@@ -306,10 +344,10 @@ class TestCropGeometry:
             (39.0, 29.0, 40.0, 30.0),  # the last pixel alone
         ]
         got = crop_resize_batch(img, boxes, out_h, out_w)
-        assert got.shape == (3, len(boxes), out_h, out_w) and got.dtype == np.float64
+        assert got.shape == (3, out_h, out_w, len(boxes)) and got.dtype == np.float64
         for n, box in enumerate(boxes):
             want = oracles.crop_resize_direct(img, box, out_h, out_w)
-            np.testing.assert_allclose(got[:, n], want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got[..., n], want, rtol=0, atol=1e-9)
         got32 = crop_resize_batch(img.astype(np.float32), boxes, out_h, out_w)
         assert got32.dtype == np.float32
 
@@ -330,7 +368,7 @@ class TestCropGeometry:
         got = crop_resize_batch(img, boxes, out_h, out_w)
         for n, box in enumerate(boxes):
             want = oracles.crop_resize_direct(img, box, out_h, out_w)
-            np.testing.assert_allclose(got[:, n], want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got[..., n], want, rtol=0, atol=1e-9)
 
     def test_batch_gather_rejects_outside_box(self):
         img = np.zeros((3, 4, 4), dtype=np.float32)
@@ -416,7 +454,7 @@ class TestRefinementStage:
         assert scores.shape == (n,) and offsets.shape == (n, 4)
         for i, box in enumerate(cands):
             chip = normalize_pixels(crop_resize(img, box, size))
-            heads = {h: y[0] for h, y in nets[stage].forward(toy_weights, chip[None]).items()}
+            heads = {h: y[:, 0] for h, y in nets[stage].forward(toy_weights, chip[..., None]).items()}
             assert abs(scores[i] - heads["prob"][1]) <= 1e-5
             np.testing.assert_allclose(offsets[i], heads["box"], rtol=0, atol=1e-4)
             if stage == "onet":

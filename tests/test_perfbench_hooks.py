@@ -64,7 +64,7 @@ def test_traced_layer_spans_count_every_layer(monkeypatch):
 
     for net in (*detector_nets().values(), embedding_net(32)):
         weights = net.init_weights(np.random.default_rng(0))
-        x = np.random.default_rng(1).uniform(-1, 1, size=(2,) + net.input_shape).astype(np.float32)
+        x = np.random.default_rng(1).uniform(-1, 1, size=net.input_shape + (2,)).astype(np.float32)
         with tracer.Tracer() as t:
             net.forward(weights, x)
             spans, _ = t.take()

@@ -52,7 +52,7 @@ from faceveil.nn.ops import (
 
 class TestConv2d:
     def test_all_ones_3x3(self):
-        x = np.ones((1, 1, 3, 3))
+        x = np.ones((1, 3, 3, 1))
         w = np.ones((1, 1, 3, 3))
         out = conv2d(x, w, np.zeros(1))
         assert out.shape == (1, 1, 1, 1)
@@ -60,12 +60,12 @@ class TestConv2d:
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 1, 5, 7))
+        x = rng.normal(size=(1, 5, 7, 1))
         w = np.ones((1, 1, 1, 1))
         np.testing.assert_allclose(conv2d(x, w, np.zeros(1)), x)
 
     def test_bias_broadcasts_per_channel(self):
-        x = np.zeros((2, 1, 4, 4))
+        x = np.zeros((2, 4, 4, 1))
         w = np.zeros((3, 2, 2, 2))
         out = conv2d(x, w, np.array([1.0, -2.0, 0.5]))
         for co, b in enumerate([1.0, -2.0, 0.5]):
@@ -76,17 +76,17 @@ class TestConv2d:
         x = rng.normal(size=(2, 6, 5))
         w = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        batch = rng.normal(size=(2, 4, 6, 5))  # (C, N, H, W): four samples
+        batch = rng.normal(size=(2, 6, 5, 4))  # (C, H, W, N): four samples
         for stride, padding in [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2)]:
-            got = conv2d(x[:, None], w, b, stride=stride, padding=padding)[:, 0]
+            got = conv2d(x[..., None], w, b, stride=stride, padding=padding)[..., 0]
             want = oracles.conv2d_direct(x, w, b, stride, padding)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, atol=1e-5)
             got = conv2d(batch, w, b, stride=stride, padding=padding)
-            for n in range(batch.shape[1]):
-                want = oracles.conv2d_direct(batch[:, n], w, b, stride, padding)
-                assert got[:, n].shape == want.shape
-                np.testing.assert_allclose(got[:, n], want, atol=1e-5)
+            for n in range(batch.shape[-1]):
+                want = oracles.conv2d_direct(batch[..., n], w, b, stride, padding)
+                assert got[..., n].shape == want.shape
+                np.testing.assert_allclose(got[..., n], want, atol=1e-5)
 
     def test_strips_past_im2col_budget_against_oracle(self):
         # 16*3*3 float64 taps per output pixel: 36 of the 50 output rows fit
@@ -96,8 +96,33 @@ class TestConv2d:
         w = rng.normal(size=(2, 16, 3, 3))
         b = rng.normal(size=2)
         assert 16 * 9 * 50 * 8 * 50 > IM2COL_BYTES > 16 * 9 * 50 * 8 * 36
-        got = conv2d(x[:, None], w, b, stride=1, padding=1)[:, 0]
+        got = conv2d(x[..., None], w, b, stride=1, padding=1)[..., 0]
         np.testing.assert_allclose(got, oracles.conv2d_direct(x, w, b, 1, 1), atol=1e-5)
+        # a strip of output rows spans every sample: 12 rows of 3 samples fit
+        batch = rng.normal(size=(16, 50, 50, 3))
+        assert 16 * 9 * 50 * 3 * 8 * 13 > IM2COL_BYTES > 16 * 9 * 50 * 3 * 8 * 12
+        got = conv2d(batch, w, b, stride=1, padding=1)
+        for n in range(3):
+            want = oracles.conv2d_direct(batch[..., n], w, b, 1, 1)
+            np.testing.assert_allclose(got[..., n], want, atol=1e-5)
+
+    def test_batch_of_one_transient_within_im2col_budget(self):
+        # strips bound the columns: a P-Net-sized map allocates its output
+        # and one strip of im2col columns at a time, not its whole im2col
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(16, 144, 192, 1)).astype(np.float32)
+        w = rng.normal(size=(32, 16, 3, 3)).astype(np.float32)
+        b = np.zeros(32, dtype=np.float32)
+        out_bytes = 32 * 142 * 190 * 4
+        assert 16 * 9 * 142 * 190 * 4 > 2 * IM2COL_BYTES  # the whole im2col would not fit
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == out_bytes
+        assert peak <= IM2COL_BYTES + out_bytes + 16 * 1024
 
     def test_backward_against_oracle(self):
         # input gradients per sample; weight and bias gradients summed over the batch
@@ -105,36 +130,36 @@ class TestConv2d:
         w = rng.normal(size=(3, 2, 3, 3))
         for n, (stride, padding) in itertools.product(
                 (1, 3), [(1, 0), (2, 0), (1, 1), (2, 1), (3, 2)]):
-            x = rng.normal(size=(2, n, 6, 5))
+            x = rng.normal(size=(2, 6, 5, n))
             dy = rng.normal(size=conv2d(x, w, np.zeros(3), stride, padding).shape)
             dx, dw, db = conv2d_backward(x, w, dy, stride, padding)
-            want = [oracles.conv2d_backward_direct(x[:, i], w, dy[:, i], stride, padding)
+            want = [oracles.conv2d_backward_direct(x[..., i], w, dy[..., i], stride, padding)
                     for i in range(n)]
             assert dx.shape == x.shape and dw.shape == w.shape and db.shape == (3,)
             for i, (odx, _, _) in enumerate(want):
-                np.testing.assert_allclose(dx[:, i], odx, rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(dx[..., i], odx, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(dw, sum(o[1] for o in want), rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(db, sum(o[2] for o in want), rtol=1e-12, atol=1e-12)
 
     def test_kernel_larger_than_input_rejected(self):
         with pytest.raises(ConfigError):
-            conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)), np.zeros(1))
+            conv2d(np.zeros((1, 2, 2, 1)), np.zeros((1, 1, 3, 3)), np.zeros(1))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            conv2d(np.zeros((2, 1, 4, 4)), np.zeros((1, 3, 2, 2)), np.zeros(1))
+            conv2d(np.zeros((2, 4, 4, 1)), np.zeros((1, 3, 2, 2)), np.zeros(1))
 
 
 class TestMaxPool:
     def test_2x2_example(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
         np.testing.assert_array_equal(maxpool2d(x, 2, 2), [[[[4.0]]]])
 
     def test_ceil_mode_partial_window(self):
         # 3 columns, kernel 2 stride 2: second window is the lone column
-        x = np.arange(6, dtype=float).reshape(1, 1, 2, 3)
+        x = np.arange(6, dtype=float).reshape(1, 2, 3, 1)
         out = maxpool2d(x, 2, 2)
-        np.testing.assert_array_equal(out, [[[[4.0, 5.0]]]])
+        np.testing.assert_array_equal(out, [[[[4.0], [5.0]]]])
 
     def test_pool_output_size_ceil(self):
         assert pool_output_size(12, 2, 2) == 6
@@ -144,45 +169,46 @@ class TestMaxPool:
     def test_stride_past_kernel_rejected(self):
         # ceil mode would count windows that start past the input (all -inf)
         with pytest.raises(ConfigError):
-            maxpool2d(np.arange(25.0).reshape(1, 1, 5, 5), 1, 3)
+            maxpool2d(np.arange(25.0).reshape(1, 5, 5, 1), 1, 3)
         with pytest.raises(ConfigError):
             MaxPool2D(1, 3).out_shape((1, 5, 5))
 
     def test_random_against_window_scan(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 13, 13))
-        got = maxpool2d(x[:, None], 3, 2)[:, 0]
+        got = maxpool2d(x[..., None], 3, 2)[..., 0]
         want = oracles.maxpool_direct(x, 3, 2)
         assert got.shape == want.shape
         np.testing.assert_array_equal(got, want)
-        batch = rng.normal(size=(4, 3, 13, 12))  # (C, N, H, W)
+        batch = rng.normal(size=(4, 13, 12, 3))  # (C, H, W, N)
         got = maxpool2d(batch, 3, 2)
-        for n in range(batch.shape[1]):
-            np.testing.assert_array_equal(got[:, n], oracles.maxpool_direct(batch[:, n], 3, 2))
+        for n in range(batch.shape[-1]):
+            np.testing.assert_array_equal(got[..., n], oracles.maxpool_direct(batch[..., n], 3, 2))
 
     @pytest.mark.parametrize("kernel, stride", [(k, s) for k in (1, 2, 3) for s in range(1, k + 1)])
     def test_every_small_size_against_window_scan(self, kernel, stride):
         # ceil-mode border windows, and inputs smaller than one window
         rng = np.random.default_rng(10 * kernel + stride)
         for h, w in itertools.product(range(1, 10), repeat=2):
-            x = rng.normal(size=(2, 2, h, w))  # (C, N, H, W)
+            x = rng.normal(size=(2, h, w, 2))  # (C, H, W, N)
             got = maxpool2d(x, kernel, stride)
             for n in range(2):
-                np.testing.assert_array_equal(got[:, n], oracles.maxpool_direct(x[:, n], kernel, stride))
+                np.testing.assert_array_equal(got[..., n],
+                                              oracles.maxpool_direct(x[..., n], kernel, stride))
 
     @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 2), (3, 1)])
     def test_backward_routes_to_first_maximum(self, kernel, stride):
         # few distinct values make ties; integer gradients sum exactly in any order
         rng = np.random.default_rng(kernel + 7 * stride)
         for h, w in [(4, 4), (5, 7), (9, 6), (2, 3)]:
-            x = rng.integers(0, 3, size=(2, 3, h, w)).astype(float)
+            x = rng.integers(0, 3, size=(2, h, w, 3)).astype(float)
             out = maxpool2d(x, kernel, stride)
             dy = rng.integers(1, 9, size=out.shape).astype(float)
             want = np.zeros_like(x)
-            for c, n, oy, ox in np.ndindex(out.shape):
-                window = x[c, n, oy * stride : oy * stride + kernel, ox * stride : ox * stride + kernel]
+            for c, oy, ox, n in np.ndindex(out.shape):
+                window = x[c, oy * stride : oy * stride + kernel, ox * stride : ox * stride + kernel, n]
                 i, j = np.unravel_index(np.argmax(window), window.shape)  # first in row-major order
-                want[c, n, oy * stride + i, ox * stride + j] += dy[c, n, oy, ox]
+                want[c, oy * stride + i, ox * stride + j, n] += dy[c, oy, ox, n]
             np.testing.assert_array_equal(maxpool2d_backward(x, dy, kernel, stride), want)
 
 
@@ -193,7 +219,7 @@ class TestActivations:
         np.testing.assert_allclose(out.reshape(2), [-0.5, 3.0])
 
     def test_prelu_per_channel_slopes(self):
-        x = -np.ones((2, 1, 2, 2))
+        x = -np.ones((2, 2, 2, 1))
         out = prelu(x, np.array([0.1, 0.5]))
         np.testing.assert_allclose(out[0], -0.1)
         np.testing.assert_allclose(out[1], -0.5)
@@ -232,7 +258,7 @@ class TestActivations:
         assert out[0, 0] == pytest.approx(1.0)
 
     def test_softmax_axis_on_maps(self):
-        x = np.zeros((2, 1, 3, 3))
+        x = np.zeros((2, 3, 3, 1))
         out = softmax(x, axis=0)
         np.testing.assert_allclose(out, 0.5)
         np.testing.assert_allclose(out.sum(axis=0), 1.0)
@@ -286,33 +312,33 @@ class TestFullyConnected:
         # input gradients per sample; weight and bias gradients summed over the batch
         rng = np.random.default_rng(6)
         w = rng.normal(size=(3, 8))
-        # (F, N) vectors, then (C, N, H, W) maps flattened per sample
-        for x in (rng.normal(size=(8, 1)), rng.normal(size=(8, 3)), rng.normal(size=(2, 3, 2, 2))):
-            n = x.shape[1]
+        # (F, N) vectors, then (C, H, W, N) maps flattened per sample
+        for x in (rng.normal(size=(8, 1)), rng.normal(size=(8, 3)), rng.normal(size=(2, 2, 2, 3))):
+            n = x.shape[-1]
             dy = rng.normal(size=(3, n))
             dx, dw, db = fully_connected_backward(x, w, dy)
             assert dx.shape == x.shape
             for i in range(n):
-                np.testing.assert_allclose(dx[:, i].reshape(-1), w.T @ dy[:, i])
-            flat = [x[:, i].reshape(-1) for i in range(n)]
+                np.testing.assert_allclose(dx[..., i].reshape(-1), w.T @ dy[:, i])
+            flat = [x[..., i].reshape(-1) for i in range(n)]
             np.testing.assert_allclose(dw, sum(np.outer(dy[:, i], flat[i]) for i in range(n)))
             np.testing.assert_allclose(db, dy.sum(axis=1))
 
     def test_flattens_feature_maps(self):
-        x = np.arange(12, dtype=float).reshape(3, 1, 2, 2)
+        x = np.arange(12, dtype=float).reshape(3, 2, 2, 1)
         w = np.eye(12)
         out = fully_connected(x, w, np.zeros(12))
         np.testing.assert_allclose(out[:, 0], x.reshape(-1))
 
     def test_batch_flattens_each_sample(self):
         rng = np.random.default_rng(9)
-        maps = rng.normal(size=(3, 4, 2, 2))  # (C, N, H, W)
+        maps = rng.normal(size=(3, 2, 2, 4))  # (C, H, W, N)
         w = rng.normal(size=(5, 12))
         b = rng.normal(size=5)
         out = fully_connected(maps, w, b)
         assert out.shape == (5, 4)
         for n in range(4):
-            np.testing.assert_allclose(out[:, n], w @ maps[:, n].reshape(-1) + b)
+            np.testing.assert_allclose(out[:, n], w @ maps[..., n].reshape(-1) + b)
         np.testing.assert_allclose(fully_connected(out, np.eye(5), np.zeros(5)), out)
 
     def test_l2_normalize_batch_per_column(self):
@@ -321,36 +347,36 @@ class TestFullyConnected:
         with pytest.raises(DegenerateInputError):
             l2_normalize(np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(ConfigError):  # maps are not feature vectors
-            l2_normalize(np.ones((2, 1, 3, 3)))
+            l2_normalize(np.ones((2, 3, 3, 1)))
 
 
 class TestNetwork:
     def test_pnet_head_shapes_single_window(self):
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(0))
-        heads = net.forward(weights, np.zeros((1, 3, 12, 12)))
-        assert heads["prob"].shape == (1, 2, 1, 1)
-        assert heads["box"].shape == (1, 4, 1, 1)
+        heads = net.forward(weights, np.zeros((3, 12, 12, 1)))
+        assert heads["prob"].shape == (2, 1, 1, 1)
+        assert heads["box"].shape == (4, 1, 1, 1)
 
     def test_pnet_dense_grid_on_larger_input(self):
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(0))
-        heads = net.forward(weights, np.zeros((1, 3, 24, 24)))
-        assert heads["prob"].shape == (1, 2, 7, 7)
-        assert heads["box"].shape == (1, 4, 7, 7)
+        heads = net.forward(weights, np.zeros((3, 24, 24, 1)))
+        assert heads["prob"].shape == (2, 7, 7, 1)
+        assert heads["box"].shape == (4, 7, 7, 1)
 
     def test_prob_maps_are_distributions(self):
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(1))
-        x = np.random.default_rng(2).uniform(-1, 1, size=(1, 3, 20, 20))
+        x = np.random.default_rng(2).uniform(-1, 1, size=(3, 20, 20, 1))
         prob = net.forward(weights, x)["prob"]
-        np.testing.assert_allclose(prob.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(prob.sum(axis=0), 1.0, atol=1e-9)
         assert prob.min() >= 0.0
 
     def test_forward_deterministic_and_pure(self):
         net = embedding_net(32)
         weights = net.init_weights(np.random.default_rng(7))
-        x = np.random.default_rng(8).uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
+        x = np.random.default_rng(8).uniform(-1, 1, size=(3, 32, 32, 1)).astype(np.float32)
         before = x.copy()
         a = net.forward(weights, x)["embedding"]
         b = net.forward(weights, x)["embedding"]
@@ -361,9 +387,9 @@ class TestNetwork:
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            net.forward(weights, np.zeros((1, 1, 12, 12)))
+            net.forward(weights, np.zeros((1, 12, 12, 1)))
         with pytest.raises(ConfigError):
-            net.forward(weights, np.zeros((1, 3, 8, 8)))
+            net.forward(weights, np.zeros((3, 8, 8, 1)))
         with pytest.raises(ConfigError):  # a single image needs its batch axis
             net.forward(weights, np.zeros((3, 12, 12)))
 
@@ -371,36 +397,37 @@ class TestNetwork:
         nets = detector_nets()
         weights = nets["rnet"].init_weights(np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            nets["rnet"].forward(weights, np.zeros((1, 3, 48, 48)))
+            nets["rnet"].forward(weights, np.zeros((3, 48, 48, 1)))
 
     @pytest.mark.parametrize("net", [detector_nets()["rnet"], detector_nets()["onet"],
                                      embedding_net(32)], ids=lambda n: n.name)
     def test_batch_matches_single_samples(self, net):
         weights = net.init_weights(np.random.default_rng(10))
-        x = np.random.default_rng(11).uniform(-1, 1, size=(3,) + net.input_shape)
+        x = np.random.default_rng(11).uniform(-1, 1, size=net.input_shape + (3,))
         batched = net.forward(weights, x.astype(np.float32))
         for head, y in batched.items():
             for n in range(3):
-                single = net.forward(weights, x[n : n + 1].astype(np.float32))[head]
-                assert y[n : n + 1].shape == single.shape
-                np.testing.assert_allclose(y[n : n + 1], single, atol=1e-5)
+                single = net.forward(weights, x[..., n : n + 1].astype(np.float32))[head]
+                assert y[..., n : n + 1].shape == single.shape
+                np.testing.assert_allclose(y[..., n : n + 1], single, atol=1e-5)
 
     def test_batch_input_validated(self):
         nets = detector_nets()
         weights = nets["rnet"].init_weights(np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            nets["rnet"].forward(weights, np.zeros((2, 3, 48, 48)))
+            nets["rnet"].forward(weights, np.zeros((3, 48, 48, 2)))
         pnet_weights = nets["pnet"].init_weights(np.random.default_rng(0))
         with pytest.raises(ConfigError):  # below the 12x12 minimum
-            nets["pnet"].forward(pnet_weights, np.zeros((2, 3, 11, 12)))
-        assert nets["pnet"].forward(pnet_weights, np.zeros((2, 3, 14, 12)))["prob"].shape == (
-            2, 2, 2, 1)
+            nets["pnet"].forward(pnet_weights, np.zeros((3, 11, 12, 2)))
+        assert nets["pnet"].forward(pnet_weights, np.zeros((3, 14, 12, 2)))["prob"].shape == (
+            2, 2, 1, 2)
 
     def test_batch_block_fits_im2col_budget(self):
         nets = detector_nets()
-        # widest im2col per sample: rnet conv2 28*3*3 x 9*9, onet conv2 32*3*3 x 21*21
-        assert nets["rnet"].batch_block == IM2COL_BYTES // (4 * 28 * 9 * 81)
-        assert nets["onet"].batch_block == IM2COL_BYTES // (4 * 32 * 9 * 441)
+        # widest layer output per sample: conv1, rnet 28 x 22*22 and onet 32 x 46*46;
+        # each conv cuts its im2col into row strips within the same budget
+        assert nets["rnet"].batch_block == IM2COL_BYTES // (4 * 28 * 22 * 22) == 38
+        assert nets["onet"].batch_block == IM2COL_BYTES // (4 * 32 * 46 * 46) == 7
 
     @pytest.mark.parametrize("net", [detector_nets()["pnet"], detector_nets()["rnet"],
                                      detector_nets()["onet"], embedding_net(32)],
@@ -411,20 +438,21 @@ class TestNetwork:
         # of head gradients (background rows carry only the prob gradient)
         rng = np.random.default_rng(12)
         weights = {k: v.astype(np.float64) for k, v in net.init_weights(rng).items()}
-        x = rng.uniform(-1, 1, size=(3,) + net.input_shape)
+        x = rng.uniform(-1, 1, size=net.input_shape + (3,))
         heads, cache = net.forward_train(weights, x)
         head_grads = {h: rng.normal(size=y.shape) for h, y in heads.items()}
         for h in set(head_grads) - {"prob", "embedding"}:
-            head_grads[h][1] = 0.0
+            head_grads[h][..., 1] = 0.0
         if "landmarks" in head_grads:
-            head_grads["landmarks"][0] = 0.0
+            head_grads["landmarks"][..., 0] = 0.0
         batch = net.backward(weights, cache, head_grads)
         total = {name: np.zeros(shape) for name, shape in net.param_shapes().items()}
         for i in range(3):
-            one, one_cache = net.forward_train(weights, x[i : i + 1])
+            one, one_cache = net.forward_train(weights, x[..., i : i + 1])
             for h, y in one.items():
-                np.testing.assert_allclose(y, heads[h][i : i + 1], rtol=0, atol=1e-12)
-            grads = net.backward(weights, one_cache, {h: g[i : i + 1] for h, g in head_grads.items()})
+                np.testing.assert_allclose(y, heads[h][..., i : i + 1], rtol=0, atol=1e-12)
+            grads = net.backward(weights, one_cache,
+                                 {h: g[..., i : i + 1] for h, g in head_grads.items()})
             for name, g in grads.items():
                 total[name] += g
         assert set(batch) == set(total)
@@ -437,15 +465,20 @@ class TestNetwork:
                                      detector_nets()["onet"], embedding_net(32)],
                              ids=lambda n: n.name)
     def test_forward_matches_layer_by_layer(self, net, slope):
-        # forward pools before PReLU where every slope is > 0 and runs PReLU
-        # in place; forward_train runs each layer in order, out of place
-        weights = net.init_weights(np.random.default_rng(13))
+        # forward pools before a conv's bias and PReLU where every slope is > 0
+        # and runs PReLU in place; forward_train runs each layer in order, out
+        # of place. Biases start at zero, so give them values to move.
+        rng = np.random.default_rng(13)
+        weights = net.init_weights(rng)
+        for name in weights:
+            if name.endswith(".b"):
+                weights[name] = rng.normal(0.0, 0.5, size=weights[name].shape).astype(np.float32)
         if slope is not None:  # the first pooled PReLU keeps its declared order
             prelu_layer = next(a for a, b in zip(net.trunk, net.trunk[1:])
                                if isinstance(a, PReLU) and isinstance(b, MaxPool2D))
             weights[prelu_layer.sname] = weights[prelu_layer.sname].copy()
             weights[prelu_layer.sname][::2] = slope
-        x = np.random.default_rng(14).uniform(-1, 1, size=(3,) + net.input_shape).astype(np.float32)
+        x = np.random.default_rng(14).uniform(-1, 1, size=net.input_shape + (3,)).astype(np.float32)
         before = x.copy()
         got = net.forward(weights, x)
         want, _ = net.forward_train(weights, x)
@@ -461,7 +494,7 @@ class TestNetwork:
                       {"a": [PReLU("pa", 3)], "b": [PReLU("pb", 3), MaxPool2D(2, 2)]})
         weights = net.init_weights(np.random.default_rng(15))
         weights["pa.slope"] = np.array([0.1, 0.2, 0.3], dtype=np.float32)
-        x = np.random.default_rng(16).uniform(-1, 1, size=(2, 2, 6, 6)).astype(np.float32)
+        x = np.random.default_rng(16).uniform(-1, 1, size=(2, 6, 6, 2)).astype(np.float32)
         before = x.copy()
         got = net.forward(weights, x)
         want, _ = net.forward_train(weights, x)
@@ -479,7 +512,7 @@ class TestNetwork:
     def test_zero_upstream_gives_zero_param_grads(self):
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(3))
-        x = np.random.default_rng(4).uniform(-1, 1, size=(1, 3, 12, 12))
+        x = np.random.default_rng(4).uniform(-1, 1, size=(3, 12, 12, 1))
         heads, cache = net.forward_train(weights, x)
         zeros = {name: np.zeros_like(np.asarray(val)) for name, val in heads.items()}
         grads = net.backward(weights, cache, zeros)

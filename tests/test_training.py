@@ -98,16 +98,31 @@ class TestMineNegatives:
         assert set(mined) == {"rnet", "onet"}
         for stage, crops in mined.items():
             s = detector_nets()[stage].input_shape[1]
-            assert crops.shape == (50, 3, s, s) and crops.dtype == np.float32
+            assert crops.shape == (3, s, s, 50) and crops.dtype == np.float32
             assert crops.min() >= 0.0 and crops.max() <= 255.0
             np.testing.assert_array_equal(crops, again[stage])
 
+    def test_silent_pnet_stops_after_one_plan_cycle(self, pnet, monkeypatch):
+        # a whole scene_plan cycle without a negative ends the search early,
+        # rather than drawing the rest of the MINE_SCENES budget
+        silent = WeightStore({k: np.zeros_like(v) for k, v in pnet.items()})
+        drawn = []
+
+        def counting_make_scene(*args, **kwargs):
+            drawn.append(args[1])
+            return make_scene(*args, **kwargs)
+
+        monkeypatch.setattr(train, "make_scene", counting_make_scene)
+        mined = train.mine_negatives(silent, np.random.default_rng(10), 8)
+        assert mined["rnet"].shape[-1] == 0
+        assert len(drawn) == train.PLAN_CYCLE == 4 < train.MINE_SCENES
+
     def test_silent_pnet_leaves_random_patches(self, pnet):
-        # a P-Net that proposes nothing spends the scene budget and mines
-        # nothing, so the next stage trains on its random patches alone
+        # a P-Net that proposes nothing mines nothing, so the next stage
+        # trains on its random patches alone
         silent = WeightStore({k: np.zeros_like(v) for k, v in pnet.items()})
         mined = train.mine_negatives(silent, np.random.default_rng(10), 8)
-        assert {stage: crops.shape[0] for stage, crops in mined.items()} == {"rnet": 0, "onet": 0}
+        assert {stage: crops.shape[-1] for stage, crops in mined.items()} == {"rnet": 0, "onet": 0}
         cfg = TrainerConfig(task="detector", n_train=16, epochs=1)
         net = detector_nets()["rnet"]
         plain = train._train_stage("rnet", net, cfg, np.random.default_rng(11), [])
@@ -120,10 +135,11 @@ class TestMineNegatives:
 
 class TestMultitaskLoss:
     def _heads(self, p_face, box, lmk=None):
-        prob = np.array([1.0 - p_face, p_face]).reshape(1, 2, 1, 1)
-        heads = {"prob": prob, "box": np.asarray(box, dtype=float).reshape(1, 4, 1, 1)}
+        # one patch: P-Net's (C, 1, 1, N) maps, or (F, N) vectors
+        prob = np.array([1.0 - p_face, p_face]).reshape(2, 1, 1, 1)
+        heads = {"prob": prob, "box": np.asarray(box, dtype=float).reshape(4, 1, 1, 1)}
         if lmk is not None:
-            heads["landmarks"] = np.asarray(lmk, dtype=float).reshape(1, 10)
+            heads["landmarks"] = np.asarray(lmk, dtype=float).reshape(10, 1)
         return heads
 
     def test_background_is_classification_only(self):
@@ -160,13 +176,13 @@ class TestMultitaskLoss:
         boxes = rng.normal(size=(3, 4)) * labels[:, None]
         lmks = rng.uniform(size=(3, 10)) * labels[:, None]
         p_face = rng.uniform(0.1, 0.9, size=3)
-        heads = {
-            "prob": np.stack([1.0 - p_face, p_face], axis=1),
-            "box": rng.normal(size=(3, 4)),
-            "landmarks": rng.uniform(size=(3, 10)),
+        heads = {  # (F, N), batch last
+            "prob": np.stack([1.0 - p_face, p_face]),
+            "box": rng.normal(size=(3, 4)).T,
+            "landmarks": rng.uniform(size=(3, 10)).T,
         }
         total, grads, parts = multitask_loss(heads, labels, boxes, lmks)
-        one = [multitask_loss({h: y[i : i + 1] for h, y in heads.items()},
+        one = [multitask_loss({h: y[:, i : i + 1] for h, y in heads.items()},
                               labels[i : i + 1], boxes[i : i + 1], lmks[i : i + 1])
                for i in range(3)]
         assert total == pytest.approx(sum(t for t, _, _ in one), rel=1e-12)
@@ -177,8 +193,8 @@ class TestMultitaskLoss:
         for head, g in grads.items():
             assert g.shape == heads[head].shape
             for i, (_, gi, _) in enumerate(one):
-                want = gi.get(head, np.zeros((1,) + g.shape[1:]))
-                np.testing.assert_allclose(g[i : i + 1], want, rtol=1e-12, atol=1e-15)
+                want = gi.get(head, np.zeros(g.shape[:-1] + (1,)))
+                np.testing.assert_allclose(g[:, i : i + 1], want, rtol=1e-12, atol=1e-15)
 
 
 class TestTrainToy:
@@ -322,15 +338,15 @@ class TestGradChecks:
 
         net = proposal_net()
         weights = net.init_weights(np.random.default_rng(50))
-        x = np.random.default_rng(51).uniform(-0.9, 0.9, size=(2, 3, 12, 12))
+        x = np.random.default_rng(51).uniform(-0.9, 0.9, size=(3, 12, 12, 2))
 
         def loss_on_heads(heads):
-            p = heads["prob"].reshape(2, 2, -1)[:, 1, 0]
+            p = heads["prob"].reshape(2, -1, 2)[1, 0]
             from faceveil.losses import cross_entropy_loss
 
             loss, dp = cross_entropy_loss(p, np.array([1.0, 0.0]))
             g = np.zeros_like(heads["prob"])
-            g.reshape(2, 2, -1)[:, 1, 0] = dp
+            g.reshape(2, -1, 2)[1, 0] = dp
             return loss, {"prob": g}
 
         err = network_grad_check(net, weights, x, loss_on_heads, coords_per_tensor=2, seed=52)
